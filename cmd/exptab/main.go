@@ -136,12 +136,11 @@ func main() {
 	var (
 		expList    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,fig7a..fig7h,optstats,ablations,prefetch,faults,all")
 		verbose    = flag.Bool("v", false, "print per-run progress and per-table wall-clock")
-		policy     = flag.String("policy", "lru", "cache policy for the base experiments: lru, demote, karma")
+		policy     = flag.String("policy", "lru", "cache policy for the base experiments: lru, demote, karma, mq")
 		ioCache    = flag.Int("io-cache", 0, "override I/O cache blocks")
 		stCache    = flag.Int("storage-cache", 0, "override storage cache blocks")
 		blockSize  = flag.Int64("block", 0, "override block size in elements")
 		parallelN  = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiment cells and trace generation (1 = serial)")
-		simW       = flag.Int("sim-workers", 0, "intra-cell simulation shard count per experiment cell (0 = off; capped so cells × shards stays within -parallel's CPU budget; reports are byte-identical at every value)")
 		faults     = flag.Float64("faults", 0, "fault-injection intensity in [0,1] applied to the base experiments (0 = healthy; the faults experiment sweeps intensities itself)")
 		seed       = flag.Int64("seed", 0, "fault-injection seed; identical seeds replay bit-identical fault runs")
 		specPath   = flag.String("spec", "", "workload spec JSON driving -exp workload")
@@ -161,13 +160,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "exptab: -parallel must be ≥ 1")
 		os.Exit(1)
 	}
-	// Cap the scheduler to the requested CPU budget — cell workers times
-	// intra-cell shards — so -parallel 1 (without -sim-workers) restores a
-	// fully serial process even for code that sizes itself off GOMAXPROCS,
-	// while -parallel 1 -sim-workers N keeps N CPUs for the sharded engine
-	// (which itself caps by GOMAXPROCS).
-	if budget := *parallelN * max(1, *simW); budget < runtime.GOMAXPROCS(0) {
-		runtime.GOMAXPROCS(budget)
+	// Cap the scheduler to the requested CPU budget so -parallel 1 restores
+	// a fully serial process even for code that sizes itself off GOMAXPROCS.
+	if *parallelN < runtime.GOMAXPROCS(0) {
+		runtime.GOMAXPROCS(*parallelN)
 	}
 
 	want, err := selectExperiments(*expList)
@@ -245,7 +241,6 @@ func main() {
 	runner := exp.NewRunner()
 	runner.Verbose = *verbose
 	runner.Parallel = *parallelN
-	runner.SimWorkers = *simW
 	runner.CollectMetrics = *metricsOut != ""
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

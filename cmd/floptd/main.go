@@ -100,7 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address")
 		workers      = fs.Int("workers", service.DefaultServerConfig().Workers, "simulate worker-pool width")
-		simWorkers   = fs.Int("sim-workers", 0, "intra-cell shard count per simulation job (0 = auto: GOMAXPROCS/workers; reports are byte-identical at every value)")
 		queue        = fs.Int("queue", service.DefaultServerConfig().QueueDepth, "simulate queue depth (full queue answers 429)")
 		cacheEntries = fs.Int("cache", service.DefaultServerConfig().CacheEntries, "compiled-layout LRU capacity")
 		drainWait    = fs.Duration("drain-timeout", 2*time.Minute, "graceful-drain budget after SIGTERM")
@@ -189,7 +188,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	cfg := service.DefaultServerConfig()
 	cfg.Workers, cfg.QueueDepth, cfg.CacheEntries = *workers, *queue, *cacheEntries
-	cfg.SimWorkers = *simWorkers
 	cfg.DataDir = *dataDir
 	cfg.RecordPath = *record
 	cfg.RequestTimeout = *reqTimeout

@@ -2,8 +2,10 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"flopt/internal/exp"
+	"flopt/internal/storage/cache"
 )
 
 // runFlags carries the flag combinations that need cross-flag validation;
@@ -33,10 +35,8 @@ func validateFlags(f runFlags) error {
 	if f.seedSet && f.faults <= 0 {
 		return fmt.Errorf("-seed has no effect without -faults > 0")
 	}
-	switch f.policy {
-	case "lru", "demote", "karma":
-	default:
-		return fmt.Errorf("unknown policy %q (want lru, demote or karma)", f.policy)
+	if !slices.Contains(cache.Names(), f.policy) {
+		return fmt.Errorf("unknown policy %q (want one of %v)", f.policy, cache.Names())
 	}
 	if f.src != "" {
 		// The -src path runs outside the experiment runner, which is the

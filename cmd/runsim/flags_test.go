@@ -17,6 +17,7 @@ func TestValidateFlags(t *testing.T) {
 		{"workload compmap", func(f *runFlags) { f.scheme = "compmap" }, ""},
 		{"src inter", func(f *runFlags) { f.workload = ""; f.src = "p.fl"; f.scheme = "inter" }, ""},
 		{"seed with faults", func(f *runFlags) { f.seedSet = true; f.faults = 0.5 }, ""},
+		{"policy mq", func(f *runFlags) { f.policy = "mq" }, ""},
 		{"neither input", func(f *runFlags) { f.workload = "" }, "exactly one of"},
 		{"both inputs", func(f *runFlags) { f.src = "p.fl" }, "exactly one of"},
 		{"zero parallel", func(f *runFlags) { f.parallel = 0 }, "-parallel"},

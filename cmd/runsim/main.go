@@ -18,10 +18,12 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strings"
 
 	"flopt"
 	"flopt/internal/exp"
 	"flopt/internal/sim"
+	"flopt/internal/storage/cache"
 	"flopt/internal/version"
 )
 
@@ -30,12 +32,11 @@ func main() {
 		workload  = flag.String("workload", "", "built-in benchmark name")
 		src       = flag.String("src", "", "mini-language source file")
 		scheme    = flag.String("scheme", "default", "layout scheme: default, inter, inter-io, inter-storage, reindex, compmap")
-		policy    = flag.String("policy", "lru", "cache policy: lru, demote, karma")
+		policy    = flag.String("policy", "lru", "cache policy: "+strings.Join(cache.Names(), ", "))
 		ioCache   = flag.Int("io-cache", 0, "override I/O cache blocks")
 		stCache   = flag.Int("storage-cache", 0, "override storage cache blocks")
 		block     = flag.Int64("block", 0, "override block size in elements")
 		parallelN = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for trace generation (1 = serial)")
-		simW      = flag.Int("sim-workers", runtime.GOMAXPROCS(0), "intra-cell simulation shard count (1 = serial engine; reports are byte-identical at every value)")
 		faults    = flag.Float64("faults", 0, "fault-injection intensity in [0,1] (0 = healthy platform)")
 		seed      = flag.Int64("seed", 0, "fault-injection seed; identical seeds replay bit-identical runs")
 		metrics   = flag.Bool("metrics", false, "collect and print the per-layer/per-array/per-node metrics breakdown")
@@ -57,12 +58,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: runsim -workload <name> | -src <file> [-scheme s] [-policy p] [-metrics]")
 		os.Exit(2)
 	}
-	// Cap the scheduler to the wider of the two parallelism axes (trace
-	// generation runs before the simulation, never alongside it): -parallel
-	// 1 -sim-workers 1 restores a fully serial process, while the sharded
-	// engine keeps its CPUs by default (it caps itself by GOMAXPROCS).
-	if budget := max(*parallelN, *simW); budget < runtime.GOMAXPROCS(0) {
-		runtime.GOMAXPROCS(budget)
+	// Cap the scheduler to the trace-generation worker count, so
+	// -parallel 1 restores a fully serial process.
+	if *parallelN < runtime.GOMAXPROCS(0) {
+		runtime.GOMAXPROCS(*parallelN)
 	}
 
 	cfg := sim.DefaultConfig()
@@ -91,7 +90,6 @@ func main() {
 	case *workload != "":
 		runner := exp.NewRunner()
 		runner.Parallel = *parallelN
-		runner.SimWorkers = *simW
 		var err error
 		rep, err = runner.RunContext(ctx, *workload, cfg, exp.Scheme(*scheme))
 		if err != nil {
@@ -106,7 +104,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		opts := []flopt.RunOption{flopt.WithSimWorkers(*simW)}
+		var opts []flopt.RunOption
 		if *scheme == "inter" {
 			res, oerr := flopt.Optimize(p, cfg)
 			if oerr != nil {

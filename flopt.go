@@ -33,8 +33,6 @@
 // output, WithLayouts an arbitrary layout per array, WithMetrics attaches
 // the metrics collector (snapshot on Report.Metrics), WithObserver a
 // custom profiling hook, and WithFaults deterministic fault injection.
-// The pre-options entry points (RunDefault, RunOptimized, RunWithLayouts)
-// remain as deprecated wrappers.
 //
 // The cmd/ directory provides the same functionality as executables
 // (floptc, runsim, exptab), and internal/exp regenerates every table and
@@ -42,7 +40,6 @@
 package flopt
 
 import (
-	"context"
 	"fmt"
 
 	"flopt/internal/lang"
@@ -92,30 +89,6 @@ func Optimize(p *Program, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return layout.Optimize(p, layout.Options{Hierarchy: h, BlockElems: cfg.BlockElems})
-}
-
-// RunDefault simulates p under cfg with the default row-major file
-// layouts (the paper's "default execution").
-//
-// Deprecated: use Run(ctx, p, cfg).
-func RunDefault(p *Program, cfg Config) (*Report, error) {
-	return Run(context.Background(), p, cfg)
-}
-
-// RunOptimized simulates p under cfg with the layouts chosen by Optimize.
-//
-// Deprecated: use Run(ctx, p, cfg, WithResult(res)).
-func RunOptimized(p *Program, cfg Config, res *Result) (*Report, error) {
-	return Run(context.Background(), p, cfg, WithResult(res))
-}
-
-// RunWithLayouts simulates p under cfg with an arbitrary layout per array
-// (keyed by array name). If res is non-nil its parallelization plans are
-// reused; otherwise fresh default plans are built.
-//
-// Deprecated: use Run(ctx, p, cfg, WithLayouts(layouts), WithResult(res)).
-func RunWithLayouts(p *Program, cfg Config, layouts map[string]Layout, res *Result) (*Report, error) {
-	return Run(context.Background(), p, cfg, WithLayouts(layouts), WithResult(res))
 }
 
 // Workloads returns the 16 benchmark applications of the paper's Table 2.

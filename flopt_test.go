@@ -1,6 +1,9 @@
 package flopt
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 const testSrc = `
 array B[64][64];
@@ -46,11 +49,11 @@ func TestEndToEnd(t *testing.T) {
 	if opt != 1 || total != 1 {
 		t.Errorf("optimized %d/%d", opt, total)
 	}
-	before, err := RunDefault(p, cfg)
+	before, err := Run(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := RunOptimized(p, cfg, res)
+	after, err := Run(context.Background(), p, cfg, WithResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +70,7 @@ func TestRunWithKarmaPolicy(t *testing.T) {
 	}
 	cfg := smallTestConfig()
 	cfg.Policy = "karma"
-	rep, err := RunDefault(p, cfg)
+	rep, err := Run(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +101,7 @@ func TestRunValidatesConfig(t *testing.T) {
 	p, _ := Compile("t", testSrc)
 	cfg := smallTestConfig()
 	cfg.ComputeNodes = 0
-	if _, err := RunDefault(p, cfg); err == nil {
+	if _, err := Run(context.Background(), p, cfg); err == nil {
 		t.Error("invalid config accepted")
 	}
 }

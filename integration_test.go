@@ -5,6 +5,7 @@ package flopt
 // invariants that hold regardless of calibration.
 
 import (
+	"context"
 	"testing"
 
 	"flopt/internal/layout"
@@ -184,7 +185,7 @@ func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := RunOptimized(p, cfg, res)
+		rep, err := Run(context.Background(), p, cfg, WithResult(res))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,11 +214,11 @@ func TestGroup1Neutrality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := RunDefault(p, cfg)
+		before, err := Run(context.Background(), p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, err := RunOptimized(p, cfg, res)
+		after, err := Run(context.Background(), p, cfg, WithResult(res))
 		if err != nil {
 			t.Fatal(err)
 		}

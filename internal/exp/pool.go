@@ -16,23 +16,6 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// simWorkers resolves the effective intra-cell shard count so that the
-// two parallelism axes compose: cell workers × intra-cell shards never
-// exceeds the host's CPUs. SimWorkers ≤ 0 disables sharding.
-func (r *Runner) simWorkers() int {
-	if r.SimWorkers <= 0 {
-		return 1
-	}
-	cap := runtime.GOMAXPROCS(0) / r.workers()
-	if cap < 1 {
-		cap = 1
-	}
-	if r.SimWorkers < cap {
-		return r.SimWorkers
-	}
-	return cap
-}
-
 // ForEachIndex evaluates fn(0) … fn(n-1) on up to par workers. The serial
 // path (par ≤ 1) stops at the first error, exactly like the pre-parallel
 // harness; the parallel path lets in-flight work finish and then returns

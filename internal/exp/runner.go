@@ -135,14 +135,6 @@ type Runner struct {
 	// trace generation; 0 means runtime.GOMAXPROCS(0), 1 restores the
 	// fully serial path.
 	Parallel int
-	// SimWorkers shards each cell's simulation across up to this many
-	// intra-cell workers (sim.Machine.SetWorkers); reports stay
-	// byte-identical at every value. 0 — the default — keeps cells serial:
-	// the harness already parallelizes across cells, and intra-cell shards
-	// only help when cells outnumber CPUs the other way around. The
-	// effective count is capped so cells × shards never oversubscribes the
-	// host (see simWorkers).
-	SimWorkers int
 	// Verbose enables progress lines on stdout.
 	Verbose bool
 	// CollectMetrics attaches the simulator's metrics collector to every
@@ -400,7 +392,6 @@ func (r *Runner) RunContext(ctx context.Context, app string, cfg sim.Config, sch
 	}
 	machine.SetFileBlocks(fileBlocks)
 	machine.SetFileNames(pr.ft.Names)
-	machine.SetWorkers(r.simWorkers())
 	rep, err := machine.RunContext(ctx, pr.traces)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s/%s: %w", app, scheme, err)

@@ -31,7 +31,6 @@ const (
 	mJobsFailed       = "jobs_failed_total"
 	mQueueDepth       = "queue_depth"
 	mJobsRunning      = "jobs_running"
-	mSimShards        = "sim_shards"
 	mLayoutsResident  = "layouts_resident"
 	mHTTPRequests     = "http_requests_total"
 	mHTTPErrors       = "http_errors_total"

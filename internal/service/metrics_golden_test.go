@@ -36,7 +36,6 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	}
 	m.gauge(mQueueDepth, 3)
 	m.gauge(mJobsRunning, 2)
-	m.gauge(mSimShards, 4)
 	m.gauge(mLayoutsResident, 5)
 	m.gauge(mBreakerState, breakerOpen)
 	m.gauge(mPeerUp("nb"), 1)

@@ -23,7 +23,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"time"
 
 	"flopt"
@@ -42,11 +41,6 @@ type Config struct {
 	CacheEntries int
 	// Workers is the simulate worker-pool width.
 	Workers int
-	// SimWorkers shards each simulation job across up to this many
-	// intra-cell workers (reports are byte-identical at every value). 0
-	// auto-sizes so that the two parallelism axes compose without
-	// oversubscription: Workers jobs × SimWorkers shards ≤ GOMAXPROCS.
-	SimWorkers int
 	// QueueDepth bounds the pending-job queue; a full queue answers 429.
 	QueueDepth int
 	// RetainedJobs bounds the finished-job records kept for polling.
@@ -122,20 +116,19 @@ func DefaultServerConfig() Config {
 // journals, admission control, metrics, and the HTTP surface over them.
 // Create with New, serve Handler, call Drain then Close on shutdown.
 type Server struct {
-	cfg        Config
-	simWorkers int
-	met        *metrics
-	cache      *compileCache
-	jobs       *jobPool
-	persist    *persister
-	chaos      *chaos
-	breaker    *breaker
-	retry      *retryBudget
-	clu        *clusterNode // nil outside cluster mode
-	rec        *workload.TraceWriter
-	mux        *http.ServeMux
-	handler    http.Handler
-	start      time.Time
+	cfg     Config
+	met     *metrics
+	cache   *compileCache
+	jobs    *jobPool
+	persist *persister
+	chaos   *chaos
+	breaker *breaker
+	retry   *retryBudget
+	clu     *clusterNode // nil outside cluster mode
+	rec     *workload.TraceWriter
+	mux     *http.ServeMux
+	handler http.Handler
+	start   time.Time
 }
 
 // New builds a Server, recovers journaled state when cfg.DataDir is set,
@@ -143,18 +136,6 @@ type Server struct {
 // already re-enqueued when New returns.
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, met: newMetrics(), start: time.Now()}
-	s.simWorkers = cfg.SimWorkers
-	if s.simWorkers <= 0 {
-		pool := cfg.Workers
-		if pool < 1 {
-			pool = 1
-		}
-		s.simWorkers = runtime.GOMAXPROCS(0) / pool
-		if s.simWorkers < 1 {
-			s.simWorkers = 1
-		}
-	}
-	s.met.gauge(mSimShards, float64(s.simWorkers))
 	s.chaos = newChaos(cfg.ChaosSeed, cfg.ChaosIntensity, s.met)
 	s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, s.met)
 	s.retry = newRetryBudget(cfg.RetryBudget)
@@ -704,7 +685,7 @@ func (s *Server) runJob(ctx context.Context, j *job) (*api.SimReport, error) {
 	if j.req.Policy != "" {
 		cfg.Policy = j.req.Policy
 	}
-	opts := []flopt.RunOption{flopt.WithSimWorkers(s.simWorkers)}
+	var opts []flopt.RunOption
 	if j.req.Optimized == nil || *j.req.Optimized {
 		opts = append(opts, flopt.WithResult(j.ent.Result))
 	}

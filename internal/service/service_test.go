@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -418,36 +417,6 @@ func TestHealthzAndMetrics(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics exposition missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestSimWorkersDefaultAndGauge(t *testing.T) {
-	// An explicit shard count is honored and exposed on /metrics.
-	s, ts := newTestServer(t, func(c *Config) { c.SimWorkers = 3 })
-	if s.simWorkers != 3 {
-		t.Errorf("simWorkers = %d, want 3", s.simWorkers)
-	}
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(buf.String(), "floptd_sim_shards 3") {
-		t.Errorf("metrics exposition missing floptd_sim_shards 3:\n%s", buf.String())
-	}
-
-	// The default auto-sizes so pool workers × intra-cell shards never
-	// oversubscribes the host.
-	auto, _ := newTestServer(t, func(c *Config) { c.Workers = 2; c.SimWorkers = 0 })
-	want := runtime.GOMAXPROCS(0) / 2
-	if want < 1 {
-		want = 1
-	}
-	if auto.simWorkers != want {
-		t.Errorf("auto simWorkers = %d, want %d (GOMAXPROCS=%d, 2 pool workers)",
-			auto.simWorkers, want, runtime.GOMAXPROCS(0))
 	}
 }
 

@@ -49,8 +49,7 @@ type Report struct {
 	// Metrics is the observability snapshot of the run — per-layer hit
 	// breakdowns keyed by array and thread, per-node device metrics,
 	// latency histograms, and the event summary. Nil unless Config.Metrics
-	// was set (or a Metrics observer was attached via SetObserver paths
-	// that enable it).
+	// was set.
 	Metrics *obs.Snapshot
 }
 
@@ -76,14 +75,6 @@ type Machine struct {
 	streams []streamTable
 	// prefetches counts readahead fills performed.
 	prefetches int64
-
-	// workers is the intra-cell shard count requested via SetWorkers;
-	// values ≤ 1 select the serial engine. The sharded engine additionally
-	// falls back to serial when the run is ineligible (see newShardedRun).
-	workers int
-	// shardStats carries the last sharded run's diagnostics into
-	// finishMetrics; nil after a serial run.
-	shardStats *shardStats
 
 	// faults is the resolved fault schedule; nil on a healthy platform.
 	faults *fault.Schedule
@@ -123,13 +114,13 @@ func (m *Machine) SetFileBlocks(blocks []int64) {
 	m.fileBlocks = append([]int64(nil), blocks...)
 }
 
-// SetWorkers sets the intra-cell shard count for subsequent runs: the
-// simulation itself is partitioned by I/O and storage node across up to n
-// concurrent workers (capped by the platform's node counts). n ≤ 1 — the
-// default — runs the serial engine. Reports are byte-identical at every
-// worker count; see sharded.go for the epoch scheduler and its
-// determinism argument.
-func (m *Machine) SetWorkers(n int) { m.workers = n }
+// SetWorkers does nothing. It once chose a node-sharded engine that was
+// slower than the serial scheduler on the hosts it was measured on and
+// was removed (DESIGN.md §13). The method stays only because the
+// benchmark module still calls it; it goes once that call is dropped.
+//
+// Deprecated: every run uses the serial scheduler.
+func (m *Machine) SetWorkers(int) {}
 
 // NewMachine builds the platform. For the "karma" policy, hints must be
 // supplied (see GenerateHints); other policies ignore them.
@@ -259,9 +250,6 @@ func (m *Machine) finishMetrics(rep *Report) {
 		ctr.Add(c.val - ctr.Value())
 	}
 	reg.Gauge("exec_time_us").Set(float64(rep.ExecTimeUS))
-	if m.shardStats != nil {
-		m.shardStats.publish(reg)
-	}
 	rep.Metrics = m.metrics.Snapshot()
 }
 

@@ -58,22 +58,6 @@ func (h *runHeap) pop() {
 	h.down(0)
 }
 
-// push inserts a new key, sifting it up to its heap position. The serial
-// scheduler never pushes mid-nest (the root is updated in place); the
-// sharded epoch scheduler re-inserts every merged thread through here.
-func (h *runHeap) push(k int64) {
-	h.keys = append(h.keys, k)
-	i := len(h.keys) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.keys[p] <= h.keys[i] {
-			break
-		}
-		h.keys[p], h.keys[i] = h.keys[i], h.keys[p]
-		i = p
-	}
-}
-
 // limit returns the packed (time, id) bound the root thread must stay
 // within to keep its heap position: the smaller of its up-to-two children.
 // With no children the bound is unreachable and the root runs its stream
@@ -108,23 +92,15 @@ const (
 )
 
 // ctxCheckEvery paces context-cancellation polling in the inner loop (a
-// power of two; the check is a mask test plus one predictable call). The
-// sharded engine polls once per epoch instead, bounding abort latency by
-// the epoch length rather than the access count.
+// power of two; the check is a mask test plus one predictable call). A
+// cancellation observed on the k-th poll therefore aborts the run after
+// at most k·ctxCheckEvery served accesses, however long the trace.
 const ctxCheckEvery = 8192
 
 // RunContext is Run with cooperative cancellation: the inner loop polls
 // ctx every ctxCheckEvery accesses and aborts with ctx's error, leaving
 // the machine's caches and clocks mid-run (Reset before reuse).
-//
-// When the machine has intra-cell workers configured (SetWorkers > 1) and
-// the run is eligible, the node-sharded epoch engine executes it instead;
-// its reports are byte-identical to this serial loop (see sharded.go).
 func (m *Machine) RunContext(ctx context.Context, traces []*trace.NestTrace) (*Report, error) {
-	if sr := m.newShardedRun(ctx, traces); sr != nil {
-		return sr.run()
-	}
-	m.shardStats = nil
 	threads := m.cfg.Threads()
 	clock := make([]int64, threads) // ns
 	// pos/sub and the heap's id slice are reused across nests (hot-path
@@ -241,9 +217,7 @@ func (m *Machine) sampleEvictions(nowNS int64) {
 
 // buildReport assembles the end-of-run report from the machine state and
 // the final thread clocks (ns), emits the run-end event and snapshots
-// metrics. Shared by the serial loop and the sharded epoch engine — both
-// drive the machine into the same final state, so the report content is
-// engine-independent.
+// metrics.
 func (m *Machine) buildReport(clock []int64, accesses int64) *Report {
 	threadUS := make([]int64, len(clock))
 	for t, c := range clock {

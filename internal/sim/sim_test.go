@@ -1,12 +1,17 @@
 package sim
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"flopt/internal/lang"
 	"flopt/internal/layout"
+	"flopt/internal/obs"
 	"flopt/internal/parallel"
 	"flopt/internal/poly"
+	"flopt/internal/storage/cache"
 	"flopt/internal/trace"
 )
 
@@ -373,5 +378,171 @@ func TestReadaheadKarmaIgnores(t *testing.T) {
 	}
 	if rep.Prefetches != 0 {
 		t.Errorf("KARMA accepted %d readahead fills", rep.Prefetches)
+	}
+}
+
+// TestGenerateHintsDeterministic pins that KARMA hint generation is a
+// pure function of the traces: two calls on the same input agree.
+func TestGenerateHintsDeterministic(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Policy = "karma"
+	ft, traces := buildTraces(t, replayWork, cfg, false)
+	h1 := GenerateHints(cfg, ft, traces)
+	h2 := GenerateHints(cfg, ft, traces)
+	if !reflect.DeepEqual(h1, h2) {
+		t.Fatal("KARMA hint generation is nondeterministic")
+	}
+}
+
+// replayWork is two nests over two arrays: a column scan (cache-hostile,
+// heavy disk traffic) followed by a row scan (sequential runs, stream
+// table and readahead traffic), so both cache levels, the disks and the
+// stream detectors all see sustained load.
+const replayWork = `
+array A[64][64];
+array B[64][64];
+parallel(i) for i = 0 to 63 { for j = 0 to 63 { read A[j][i]; read B[i][j]; } }
+parallel(j) for j = 0 to 63 { for i = 0 to 63 { read A[j][i]; } }
+`
+
+// runCold simulates the traces on a fresh machine wired the way flopt.Run
+// wires one (file blocks, file names, KARMA hints).
+func runCold(t *testing.T, cfg Config, ft *trace.FileTable, traces []*trace.NestTrace) (*Machine, *Report) {
+	t.Helper()
+	var hints []cache.RangeHint
+	if cfg.Policy == "karma" {
+		hints = GenerateHints(cfg, ft, traces)
+	}
+	m, err := NewMachine(cfg, hints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fileBlocks := make([]int64, len(ft.Names))
+	for f := range fileBlocks {
+		fileBlocks[f] = ft.Blocks(int32(f), cfg.BlockElems)
+	}
+	m.SetFileBlocks(fileBlocks)
+	m.SetFileNames(ft.Names)
+	rep, err := m.Run(traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, rep
+}
+
+// TestRunReplayIdentical pins determinism for every policy, fault seed
+// and readahead mode: two fresh machines produce equal reports, metric
+// snapshots included, and a Reset machine replays the same report (its
+// metrics collector keeps accumulating, so only the simulation fields
+// are compared).
+func TestRunReplayIdentical(t *testing.T) {
+	variants := []struct {
+		name      string
+		faults    float64
+		seed      int64
+		readahead int
+	}{
+		{name: "healthy"},
+		{name: "faults-seed42", faults: 0.6, seed: 42},
+		{name: "faults-seed7", faults: 0.35, seed: 7},
+		{name: "readahead", readahead: 2},
+	}
+	for _, policy := range cache.Names() {
+		for _, v := range variants {
+			t.Run(policy+"/"+v.name, func(t *testing.T) {
+				cfg := smallConfig()
+				cfg.Policy = policy
+				cfg.FaultIntensity, cfg.FaultSeed = v.faults, v.seed
+				cfg.ReadaheadBlocks = v.readahead
+				cfg.Metrics = true
+				ft, traces := buildTraces(t, replayWork, cfg, false)
+
+				m, first := runCold(t, cfg, ft, traces)
+				if first.DiskReads == 0 {
+					t.Fatal("workload produced no disk traffic; test is vacuous")
+				}
+				// DeepEqual follows Report.Metrics, so this covers the
+				// whole metric snapshot too.
+				_, second := runCold(t, cfg, ft, traces)
+				if !reflect.DeepEqual(first, second) {
+					t.Errorf("fresh replay differs\nfirst:  %+v\nsecond: %+v", first, second)
+				}
+
+				m.Reset()
+				third, err := m.Run(traces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := *first
+				want.Metrics, third.Metrics = nil, nil
+				if !reflect.DeepEqual(&want, third) {
+					t.Errorf("Reset replay differs\nfirst: %+v\nreset: %+v", &want, third)
+				}
+			})
+		}
+	}
+}
+
+// countdownCtx reports itself canceled from its (after+1)-th Err poll on,
+// counting the polls.
+type countdownCtx struct {
+	context.Context
+	polls, after int64
+}
+
+func (c *countdownCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
+// accessCounter counts BlockAccess deliveries, one per served access.
+type accessCounter struct{ n int64 }
+
+func (c *accessCounter) BlockAccess(int, int32, obs.Level, int64) { c.n++ }
+func (c *accessCounter) DiskService(int, int64, bool)             {}
+func (c *accessCounter) RetryWait(int, int64)                     {}
+func (c *accessCounter) Event(obs.Event)                          {}
+
+// TestRunContextAbortBound pins the scheduler's abort latency: ctx is
+// polled once every ctxCheckEvery accesses, so a cancellation first seen
+// on poll N+1 stops the run after at most (N+1)·ctxCheckEvery served
+// accesses, however long the trace. Simulate job timeouts and the
+// daemon's drain aborts rest on this bound.
+func TestRunContextAbortBound(t *testing.T) {
+	cfg := smallConfig()
+	// One sequential run of 4·ctxCheckEvery blocks per thread, each thread
+	// on its own block range.
+	const perThread = 4 * ctxCheckEvery
+	nt := &trace.NestTrace{Streams: make([][]trace.Access, cfg.Threads())}
+	for th := range nt.Streams {
+		nt.Streams[th] = []trace.Access{{File: 0, Block: int64(th) * perThread, Elems: 1, Run: perThread - 1}}
+	}
+	m, err := NewMachine(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served accessCounter
+	m.SetObserver(&served)
+
+	const allowedPolls = 2
+	bound := int64(allowedPolls+1) * ctxCheckEvery
+	if total := nt.TotalAccesses(); total <= 2*bound {
+		t.Fatalf("trace too short (%d accesses) to distinguish a bounded abort", total)
+	}
+	ctx := &countdownCtx{Context: context.Background(), after: allowedPolls}
+	if _, err := m.RunContext(ctx, []*trace.NestTrace{nt}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
+	}
+	if ctx.polls != allowedPolls+1 {
+		t.Errorf("run polled ctx %d times, want %d", ctx.polls, allowedPolls+1)
+	}
+	if served.n > bound {
+		t.Errorf("run served %d accesses; a cancel on poll %d allows ≤ %d", served.n, allowedPolls+1, bound)
+	}
+	if served.n <= allowedPolls*ctxCheckEvery {
+		t.Errorf("run served only %d accesses; polls are paced faster than every %d", served.n, ctxCheckEvery)
 	}
 }

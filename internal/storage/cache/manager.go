@@ -164,23 +164,12 @@ type DemoteLRU struct {
 	// of the current request path.
 	pendingStorage int
 	lastDemoted    bool
-	// Staged-read victim capture, one slot per I/O cache: while
-	// capture[i] is set, cache i's eviction callback records the victim
-	// here instead of inserting it into a storage cache, so the staged
-	// I/O stage never touches another shard's state (see ReadIO).
-	capture   []bool
-	hasVictim []bool
-	victim    []BlockID
 }
 
 // NewDemoteLRU builds the DEMOTE policy with the given cache counts and
 // capacities.
 func NewDemoteLRU(nIO, nStorage, capIO, capStorage int) *DemoteLRU {
-	m := &DemoteLRU{
-		capture:   make([]bool, nIO),
-		hasVictim: make([]bool, nIO),
-		victim:    make([]BlockID, nIO),
-	}
+	m := &DemoteLRU{}
 	for i := 0; i < nIO; i++ {
 		c := NewLRU(capIO)
 		m.io = append(m.io, c)
@@ -188,13 +177,8 @@ func NewDemoteLRU(nIO, nStorage, capIO, capStorage int) *DemoteLRU {
 	for i := 0; i < nStorage; i++ {
 		m.st = append(m.st, NewLRU(capStorage))
 	}
-	for i, c := range m.io {
-		i := i
+	for _, c := range m.io {
 		c.SetEvictCallback(func(b BlockID) {
-			if m.capture[i] {
-				m.hasVictim[i], m.victim[i] = true, b
-				return
-			}
 			// The victim travels down to the storage cache handling the
 			// current request path (an approximation of the original
 			// client→array demotion: victims follow the open channel).
@@ -249,8 +233,7 @@ func (m *DemoteLRU) StorageNodeStats() []Stats { return perNode(m.st) }
 
 // Demotions returns the total number of demotion transfers, summed from
 // the per-storage-cache counters (every demotion lands in exactly one
-// storage cache, so the sum equals the old shared counter — and unlike a
-// shared counter it needs no synchronization under staged reads).
+// storage cache).
 func (m *DemoteLRU) Demotions() int64 {
 	var n int64
 	for _, c := range m.st {

@@ -95,23 +95,6 @@ func (nt *NestTrace) TotalAccesses() int64 {
 	return n
 }
 
-// MinElems returns the smallest per-access element count across all
-// streams, or 0 for a trace with no accesses. The simulator's sharded
-// engine derives its epoch length from it: every access costs at least
-// the element-proportional CPU charge of MinElems elements, which bounds
-// how far ahead of each other the per-node event loops may run.
-func (nt *NestTrace) MinElems() int32 {
-	var m int32
-	for _, s := range nt.Streams {
-		for _, a := range s {
-			if m == 0 || a.Elems < m {
-				m = a.Elems
-			}
-		}
-	}
-	return m
-}
-
 // TotalElems sums the element touches across all streams; it is invariant
 // under layout changes (only the grouping into blocks varies).
 func (nt *NestTrace) TotalElems() int64 {

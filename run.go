@@ -2,7 +2,6 @@ package flopt
 
 import (
 	"context"
-	"runtime"
 
 	"flopt/internal/lang"
 	"flopt/internal/layout"
@@ -58,15 +57,13 @@ const (
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	layouts    map[string]Layout
-	res        *Result
-	observer   Observer
-	faults     bool
-	intensity  float64
-	seed       int64
-	metrics    bool
-	simWorkers int
-	simSet     bool
+	layouts   map[string]Layout
+	res       *Result
+	observer  Observer
+	faults    bool
+	intensity float64
+	seed      int64
+	metrics   bool
 }
 
 // WithLayouts simulates under an arbitrary layout per array (keyed by
@@ -101,16 +98,6 @@ func WithFaults(intensity float64, seed int64) RunOption {
 // its snapshot on Report.Metrics, equivalent to setting cfg.Metrics.
 func WithMetrics() RunOption {
 	return func(o *runOptions) { o.metrics = true }
-}
-
-// WithSimWorkers sets the intra-cell shard count: the simulation itself is
-// partitioned by storage and I/O node across up to n concurrent workers,
-// with a deterministic epoch merge that keeps reports byte-identical to
-// the serial engine at every worker count. n ≤ 1 forces the serial
-// engine. Without this option Run uses runtime.GOMAXPROCS(0) workers
-// (which on a single-CPU host falls back to serial).
-func WithSimWorkers(n int) RunOption {
-	return func(o *runOptions) { o.simWorkers = n; o.simSet = true }
 }
 
 // Run simulates program p on the platform described by cfg and returns
@@ -184,10 +171,5 @@ func Run(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (*Repor
 	if o.observer != nil {
 		machine.SetObserver(o.observer)
 	}
-	workers := o.simWorkers
-	if !o.simSet {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	machine.SetWorkers(workers)
 	return machine.RunContext(ctx, traces)
 }

@@ -15,46 +15,6 @@ array B[128][128];
 parallel(i) for i = 0 to 127 { for j = 0 to 127 { read B[j][i]; } }
 `
 
-// TestRunMatchesDeprecatedWrappers: the deprecated entry points are thin
-// wrappers over Run, so both paths must produce identical reports.
-func TestRunMatchesDeprecatedWrappers(t *testing.T) {
-	p, err := Compile("t", testSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := smallTestConfig()
-	res, err := Optimize(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	oldDef, err := RunDefault(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newDef, err := Run(ctx, p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldDef.ExecTimeUS != newDef.ExecTimeUS || oldDef.DiskReads != newDef.DiskReads {
-		t.Errorf("RunDefault (%d µs, %d reads) != Run (%d µs, %d reads)",
-			oldDef.ExecTimeUS, oldDef.DiskReads, newDef.ExecTimeUS, newDef.DiskReads)
-	}
-
-	oldOpt, err := RunOptimized(p, cfg, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newOpt, err := Run(ctx, p, cfg, WithResult(res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oldOpt.ExecTimeUS != newOpt.ExecTimeUS {
-		t.Errorf("RunOptimized %d µs != Run(WithResult) %d µs", oldOpt.ExecTimeUS, newOpt.ExecTimeUS)
-	}
-}
-
 func TestSentinelErrors(t *testing.T) {
 	if _, err := Compile("bad", "not a program"); !errors.Is(err, ErrBadProgram) {
 		t.Errorf("Compile error %v does not wrap ErrBadProgram", err)

@@ -1,14 +1,10 @@
 #!/usr/bin/env bash
 # bench_harness.sh — measure the headline harness benchmarks
-# (BenchmarkTable2Default, BenchmarkSimulatorThroughput, its
-# metrics-enabled twin, and the BenchmarkSingleCellSharded shard-count
-# sweep) and print their best-of-3 wall-clock as a JSON fragment on
-# stdout, including the observability overhead ratio (metrics-enabled /
-# plain simulator throughput; budget ≤ 1.02 for the no-op path, the
-# enabled collector costs a few percent more) and the best intra-cell
-# shard speedup (serial shards=1 over the fastest of shards 2/4/8; ~1.0
-# on a single-CPU host where the engine degrades to serial, ≥ 1.7
-# expected on 4+ cores).
+# (BenchmarkTable2Default, BenchmarkSimulatorThroughput and its
+# metrics-enabled twin) and print their best-of-3 wall-clock as a JSON
+# fragment on stdout, including the observability overhead ratio
+# (metrics-enabled / plain simulator throughput; budget ≤ 1.02 for the
+# no-op path, the enabled collector costs a few percent more).
 #
 # Usage: scripts/bench_harness.sh [extra go test args…]
 #
@@ -19,7 +15,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 out=$(go test -run '^$' \
-	-bench '^(BenchmarkTable2Default|BenchmarkSimulatorThroughput(Metrics)?|BenchmarkSingleCellSharded)$' \
+	-bench '^(BenchmarkTable2Default|BenchmarkSimulatorThroughput(Metrics)?)$' \
 	-benchtime=1x -count=3 "$@" .)
 printf '%s\n' "$out" >&2
 
@@ -30,13 +26,7 @@ best() {
 table2=$(best 'BenchmarkTable2Default')
 simthr=$(best 'BenchmarkSimulatorThroughput')
 simmet=$(best 'BenchmarkSimulatorThroughputMetrics')
-shard1=$(best 'BenchmarkSingleCellSharded/1')
-shard2=$(best 'BenchmarkSingleCellSharded/2')
-shard4=$(best 'BenchmarkSingleCellSharded/4')
-shard8=$(best 'BenchmarkSingleCellSharded/8')
 overhead=$(awk -v m="$simmet" -v p="$simthr" 'BEGIN {printf "%.3f", m / p}')
-speedup=$(awk -v s1="$shard1" -v s2="$shard2" -v s4="$shard4" -v s8="$shard8" \
-	'BEGIN {b = s2; if (s4 < b) b = s4; if (s8 < b) b = s8; printf "%.2f", s1 / b}')
 cores=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 
 cat <<EOF
@@ -45,8 +35,6 @@ cat <<EOF
   "BenchmarkTable2Default_ns_per_op": $table2,
   "BenchmarkSimulatorThroughput_ns_per_op": $simthr,
   "BenchmarkSimulatorThroughputMetrics_ns_per_op": $simmet,
-  "metrics_overhead_ratio": $overhead,
-  "BenchmarkSingleCellSharded_ns_per_op": {"1": $shard1, "2": $shard2, "4": $shard4, "8": $shard8},
-  "shard_speedup_best": $speedup
+  "metrics_overhead_ratio": $overhead
 }
 EOF
