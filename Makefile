@@ -24,6 +24,8 @@
 #                        spec against a recording floptd, replay the trace,
 #                        and assert bit-identical reproduction through the
 #                        loadgen and the exptab workload sweep
+#   make loc           — print the non-test Go line count outside bench/
+#                        (the code-size figure ROADMAP.md tracks)
 #   make loadtest      — measure the floptd offsets hot path and print the
 #                        RPS / latency-quantile JSON (see BENCH_service.json);
 #                        pass -cluster via scripts/loadtest_service.sh to
@@ -32,7 +34,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build vet fmt-check lint test race chaos cluster workload-smoke bench-test verify bench bench-harness bench-compare serve-smoke loadtest
+.PHONY: build vet fmt-check lint test race chaos cluster workload-smoke bench-test verify bench bench-harness bench-compare serve-smoke loadtest loc
 
 build:
 	$(GO) build ./...
@@ -82,3 +84,6 @@ serve-smoke:
 
 loadtest:
 	./scripts/loadtest_service.sh
+
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l

@@ -96,32 +96,6 @@ func selectExperiments(list string) (map[string]bool, error) {
 	return want, nil
 }
 
-// loadEvents resolves the workload experiment's event stream from exactly
-// one of a spec file (expanded deterministically) or a recorded trace.
-func loadEvents(specPath, replayPath string) ([]workload.Event, error) {
-	switch {
-	case specPath != "" && replayPath != "":
-		return nil, fmt.Errorf("-spec and -replay are mutually exclusive")
-	case specPath != "":
-		spec, err := workload.LoadSpecFile(specPath)
-		if err != nil {
-			return nil, err
-		}
-		return spec.Generate()
-	case replayPath != "":
-		recs, err := workload.ReadTraceFile(replayPath)
-		if err != nil {
-			return nil, err
-		}
-		if len(recs) == 0 {
-			return nil, fmt.Errorf("trace %s holds no records", replayPath)
-		}
-		return workload.Events(recs), nil
-	default:
-		return nil, fmt.Errorf("-exp workload needs -spec <file> or -replay <trace>")
-	}
-}
-
 // validateSeed rejects an explicit -seed that cannot influence anything:
 // it matters only with -faults > 0, or for the faults experiment (which
 // sweeps intensities itself from the seed).
@@ -184,7 +158,7 @@ func main() {
 	var events []workload.Event
 	if want["workload"] {
 		var err error
-		if events, err = loadEvents(*specPath, *replayPath); err != nil {
+		if events, err = workload.LoadEvents(*specPath, *replayPath); err != nil {
 			fmt.Fprintln(os.Stderr, "exptab:", err)
 			os.Exit(1)
 		}

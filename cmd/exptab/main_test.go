@@ -68,10 +68,10 @@ func TestValidateSeed(t *testing.T) {
 }
 
 func TestLoadEvents(t *testing.T) {
-	if _, err := loadEvents("", ""); err == nil {
+	if _, err := workload.LoadEvents("", ""); err == nil {
 		t.Error("no input accepted")
 	}
-	if _, err := loadEvents("a.json", "b.jsonl"); err == nil {
+	if _, err := workload.LoadEvents("a.json", "b.jsonl"); err == nil {
 		t.Error("both inputs accepted")
 	}
 
@@ -85,7 +85,7 @@ func TestLoadEvents(t *testing.T) {
 	}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	evs, err := loadEvents(spec, "")
+	evs, err := workload.LoadEvents(spec, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLoadEvents(t *testing.T) {
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := loadEvents("", trace)
+	replayed, err := workload.LoadEvents("", trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestLoadEvents(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadEvents("", empty); err == nil {
+	if _, err := workload.LoadEvents("", empty); err == nil {
 		t.Error("empty trace accepted")
 	}
 }

@@ -42,15 +42,18 @@
 //	floptd -loadgen -program mgrid                   # one-client preset spec
 //
 // The -loadgen mode turns the same binary into the measurement client
-// scripts/loadtest_service.sh uses: it compiles one workload, hammers
-// the offsets hot path from keep-alive connections (round-robin over
-// comma-separated -target URLs in cluster mode), and prints the
-// RPS/latency quantiles as JSON. With -spec, -replay or -program it
-// instead issues a deterministic event stream from the internal/workload
+// scripts/loadtest_service.sh uses. By default it compiles one
+// -workload and hammers the offsets hot path for -duration from
+// -concurrency closed-loop workers over keep-alive connections
+// (worker w sends to the w-th of the comma-separated -target URLs, round
+// robin, in cluster mode). With -spec, -replay or -program it instead
+// issues a deterministic event stream from the internal/workload
 // subsystem — multi-client arrival processes, SLO classes, request mixes
-// — and reports per-class counts and latency quantiles. Serving with
-// -record writes every served request as one line of a schema-versioned
-// JSONL trace that -replay (and exptab -replay) reproduce bit-identically.
+// — strictly in order. Both modes run through the same issuing loop and
+// print one JSON result: RPS and latency quantiles overall, plus
+// per-class counts and quantiles. Serving with -record writes every
+// served request as one line of a schema-versioned JSONL trace that
+// -replay (and exptab -replay) reproduce bit-identically.
 package main
 
 import (
@@ -74,26 +77,6 @@ import (
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// countSet counts how many of the given mode flags are set.
-func countSet(flags ...bool) int {
-	n := 0
-	for _, f := range flags {
-		if f {
-			n++
-		}
-	}
-	return n
-}
-
-// runSpecEvents expands a validated spec and issues its event stream.
-func runSpecEvents(ctx context.Context, spec *workload.Spec, target string, pace float64) (*service.SpecLoadResult, error) {
-	evs, err := spec.Generate()
-	if err != nil {
-		return nil, err
-	}
-	return service.RunSpecLoad(ctx, service.SpecLoadOptions{BaseURL: target, Events: evs, Pace: pace})
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("floptd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -116,10 +99,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		loadgen     = fs.Bool("loadgen", false, "run as load-generation client instead of serving")
 		target      = fs.String("target", "http://127.0.0.1:8080", "loadgen: daemon base URL, or comma-separated URLs to spread load across a cluster")
-		duration    = fs.Duration("duration", 10*time.Second, "loadgen: measurement window")
-		concurrency = fs.Int("concurrency", 32, "loadgen: concurrent client workers")
-		batch       = fs.Int("batch", 4, "loadgen: offset queries per request")
-		count       = fs.Int64("count", 512, "loadgen: run length per offset query")
+		duration    = fs.Duration("duration", 10*time.Second, "loadgen: measurement window of the hammer mode")
+		concurrency = fs.Int("concurrency", 32, "loadgen: closed-loop client workers of the hammer mode")
 		workloadArg = fs.String("workload", "swim", "loadgen: workload compiled and queried by the hammer mode")
 
 		record   = fs.String("record", "", "serve: write every served compile/offsets/simulate request to this JSONL workload trace")
@@ -139,42 +120,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer stop()
 
 	if *loadgen {
-		var res any
+		// The hammer, unless a mode flag names an event stream.
+		opt := service.SpecLoadOptions{
+			BaseURL:     *target,
+			Events:      []workload.Event{{Kind: workload.KindOffsets, Program: *workloadArg}},
+			Concurrency: *concurrency,
+			Duration:    *duration,
+		}
+		modes := 0
+		for _, m := range []string{*specPath, *replay, *program} {
+			if m != "" {
+				modes++
+			}
+		}
 		var err error
-		switch {
-		case countSet(*specPath != "", *replay != "", *program != "") > 1:
-			fmt.Fprintln(stderr, "floptd: set at most one of -spec, -replay and -program")
-			return 2
-		case *specPath != "":
-			var spec *workload.Spec
-			if spec, err = workload.LoadSpecFile(*specPath); err == nil {
-				res, err = runSpecEvents(ctx, spec, *target, *pace)
-			}
-		case *program != "":
-			// The preset is a trivial one-client spec under the hood, so
-			// any named workloads program gets the full spec machinery.
-			spec := workload.SingleClientSpec(*program)
-			if err = spec.Validate(); err == nil {
-				res, err = runSpecEvents(ctx, spec, *target, *pace)
-			}
-		case *replay != "":
-			var recs []workload.Record
-			if recs, err = workload.ReadTraceFile(*replay); err == nil {
-				res, err = service.RunSpecLoad(ctx, service.SpecLoadOptions{
-					BaseURL: *target,
-					Events:  workload.Events(recs),
-					Pace:    *pace,
-				})
+		switch modes {
+		case 0:
+		case 1:
+			opt = service.SpecLoadOptions{BaseURL: *target, Pace: *pace}
+			if *program != "" {
+				// A trivial one-client spec under the hood, so any named
+				// workloads program gets the full spec machinery.
+				opt.Events, err = workload.SingleClientSpec(*program).Generate()
+			} else {
+				opt.Events, err = workload.LoadEvents(*specPath, *replay)
 			}
 		default:
-			res, err = service.RunLoad(ctx, service.LoadOptions{
-				BaseURL:     *target,
-				Workload:    *workloadArg,
-				Duration:    *duration,
-				Concurrency: *concurrency,
-				Batch:       *batch,
-				Count:       *count,
-			})
+			fmt.Fprintln(stderr, "floptd: set at most one of -spec, -replay and -program")
+			return 2
+		}
+		var res *service.SpecLoadResult
+		if err == nil {
+			res, err = service.RunSpecLoad(ctx, opt)
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, "floptd:", err)

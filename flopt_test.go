@@ -2,6 +2,7 @@ package flopt
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -76,6 +77,21 @@ func TestRunWithKarmaPolicy(t *testing.T) {
 	}
 	if rep.PolicyName != "KARMA" {
 		t.Errorf("policy = %s", rep.PolicyName)
+	}
+}
+
+// TestRunRejectsReportPolicyName: "KARMA" is KARMA's report name, not a
+// selectable policy. Accepting it ran KARMA without hints while the
+// report still said KARMA.
+func TestRunRejectsReportPolicyName(t *testing.T) {
+	p, err := Compile("t", testSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallTestConfig()
+	cfg.Policy = "KARMA"
+	if _, err := Run(context.Background(), p, cfg); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("Run with policy KARMA: err = %v, want ErrBadConfig", err)
 	}
 }
 

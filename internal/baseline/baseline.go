@@ -65,13 +65,9 @@ func permutations(n int) [][]int {
 // dimension permutation (holding the other arrays at their current best)
 // and keeps the fastest. Returns the chosen layouts.
 func Reindex(p *poly.Program, cfg sim.Config) (map[string]layout.Layout, error) {
-	plans := make(map[*poly.LoopNest]*parallel.Plan, len(p.Nests))
-	for _, n := range p.Nests {
-		plan, err := parallel.NewPlan(n, cfg.Threads(), 1)
-		if err != nil {
-			return nil, err
-		}
-		plans[n] = plan
+	plans, err := parallel.DefaultPlans(p, cfg.Threads())
+	if err != nil {
+		return nil, err
 	}
 	best := layout.DefaultLayouts(p)
 	measure := func(ls map[string]layout.Layout) (int64, error) {

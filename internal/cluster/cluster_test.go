@@ -181,7 +181,7 @@ func TestTable(t *testing.T) {
 
 func TestBreaker(t *testing.T) {
 	clock := time.Unix(1000, 0)
-	b := NewBreaker(3, 5*time.Second)
+	b := NewBreaker(3, 5*time.Second, nil)
 	b.now = func() time.Time { return clock }
 
 	for i := 0; i < 2; i++ {
@@ -206,6 +206,12 @@ func TestBreaker(t *testing.T) {
 	if b.Allow() {
 		t.Fatal("breaker admitted a second call during half-open")
 	}
+	// The probe never reports: its lease runs out after one more
+	// cooldown, and the next caller probes.
+	clock = clock.Add(5 * time.Second)
+	if !b.Allow() {
+		t.Fatal("unreported probe's lease never ran out")
+	}
 	b.Record(true)
 	if !b.Allow() || b.Open() {
 		t.Fatal("breaker not closed after successful probe")
@@ -220,5 +226,29 @@ func TestBreaker(t *testing.T) {
 	b.Record(false)
 	if b.Open() {
 		t.Fatal("breaker opened though failures were not consecutive")
+	}
+}
+
+// TestBreakerStateChanges pins the callback: one call per transition,
+// in order, and a failed probe re-opens at once.
+func TestBreakerStateChanges(t *testing.T) {
+	clock := time.Unix(1000, 0)
+	var got []BreakerState
+	b := NewBreaker(2, time.Second, func(s BreakerState) { got = append(got, s) })
+	b.SetClock(func() time.Time { return clock })
+
+	b.Record(false)
+	b.Record(false) // opens
+	b.Record(false) // already open: no transition
+	clock = clock.Add(time.Second)
+	b.Allow()       // half-open probe
+	b.Record(false) // failed probe: open again
+	clock = clock.Add(time.Second)
+	b.Allow()
+	b.Record(true)
+	b.Record(true) // already closed: no transition
+	want := []BreakerState{BreakerOpen, BreakerHalfOpen, BreakerOpen, BreakerHalfOpen, BreakerClosed}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("transitions = %v, want %v", got, want)
 	}
 }

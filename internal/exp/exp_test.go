@@ -72,11 +72,11 @@ func TestRunnerCachesPreparations(t *testing.T) {
 	if _, err := r.Run("cc-ver-1", cfg, SchemeDefault); err != nil {
 		t.Fatal(err)
 	}
-	n := len(r.preps)
+	n := r.preps.Len()
 	if _, err := r.Run("cc-ver-1", cfg, SchemeDefault); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.preps) != n {
+	if r.preps.Len() != n {
 		t.Error("second run did not reuse the cached preparation")
 	}
 	// A capacity change must NOT invalidate default-scheme traces…
@@ -85,18 +85,18 @@ func TestRunnerCachesPreparations(t *testing.T) {
 	if _, err := r.Run("cc-ver-1", cfg2, SchemeDefault); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.preps) != n {
+	if r.preps.Len() != n {
 		t.Error("capacity change should reuse default traces")
 	}
 	// …but it must invalidate inter-scheme layouts (they depend on it).
 	if _, err := r.Run("cc-ver-1", cfg, SchemeInter); err != nil {
 		t.Fatal(err)
 	}
-	n2 := len(r.preps)
+	n2 := r.preps.Len()
 	if _, err := r.Run("cc-ver-1", cfg2, SchemeInter); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.preps) != n2+1 {
+	if r.preps.Len() != n2+1 {
 		t.Error("capacity change should re-prepare inter layouts")
 	}
 }

@@ -194,9 +194,19 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 			}
 		}
 	}
-	if n := r.cachedPreps(); n != len(apps)*len(schemes) {
+	if n := r.preps.Len(); n != len(apps)*len(schemes) {
 		t.Errorf("cached preps = %d, want %d (one per key, shared by singleflight)", n, len(apps)*len(schemes))
 	}
+}
+
+// acquireEmpty builds (or hits) an empty prep under key and releases it.
+func acquireEmpty(t *testing.T, r *Runner, key prepKey) {
+	t.Helper()
+	_, release, err := r.preps.Acquire(context.Background(), key, func() (*prep, error) { return &prep{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	release()
 }
 
 // TestPrepLRUEviction checks the bounded prep cache evicts the least
@@ -206,38 +216,48 @@ func TestPrepLRUEviction(t *testing.T) {
 	r := NewRunner()
 	key := func(i int) prepKey { return prepKey{app: fmt.Sprintf("a%d", i)} }
 	for i := 0; i < maxPreps; i++ {
-		r.seq++
-		r.preps[key(i)] = &prepCall{finished: true, lastUse: r.seq}
+		acquireEmpty(t, r, key(i))
 	}
-	// Touch the oldest entry so a1 becomes the LRU victim.
-	r.seq++
-	r.preps[key(0)].lastUse = r.seq
-
-	r.mu.Lock()
-	r.evictLocked()
-	r.mu.Unlock()
-	if len(r.preps) != maxPreps-1 {
-		t.Fatalf("preps = %d after eviction, want %d", len(r.preps), maxPreps-1)
+	// Touch the oldest entry so a1 becomes the LRU victim, then add one.
+	acquireEmpty(t, r, key(0))
+	acquireEmpty(t, r, key(maxPreps))
+	if n := r.preps.Len(); n != maxPreps {
+		t.Fatalf("preps = %d after eviction, want %d", n, maxPreps)
 	}
-	if _, ok := r.preps[key(1)]; ok {
+	if r.preps.Has(key(1)) {
 		t.Error("least recently used entry a1 survived eviction")
 	}
-	if _, ok := r.preps[key(0)]; !ok {
+	if !r.preps.Has(key(0)) {
 		t.Error("recently touched entry a0 was evicted")
 	}
 
-	// In-flight preparations are never evicted: mark everything
-	// unfinished and check eviction leaves the cache alone.
-	for _, c := range r.preps {
-		c.finished = false
+	// In-flight preparations are never evicted: with every slot held by
+	// a blocked build, one more entry overflows the cache instead.
+	r = NewRunner()
+	gate := make(chan struct{})
+	var started, done sync.WaitGroup
+	for i := 0; i < maxPreps; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			_, release, err := r.preps.Acquire(context.Background(), key(i), func() (*prep, error) {
+				started.Done()
+				<-gate
+				return &prep{}, nil
+			})
+			if err == nil {
+				release()
+			}
+		}(i)
 	}
-	r.preps[key(1)] = &prepCall{finished: false, lastUse: 0}
-	r.mu.Lock()
-	r.evictLocked()
-	r.mu.Unlock()
-	if len(r.preps) != maxPreps {
-		t.Errorf("in-flight entries were evicted: preps = %d, want %d", len(r.preps), maxPreps)
+	started.Wait()
+	acquireEmpty(t, r, key(maxPreps))
+	if n := r.preps.Len(); n != maxPreps+1 {
+		t.Errorf("in-flight entries were evicted: preps = %d, want %d", n, maxPreps+1)
 	}
+	close(gate)
+	done.Wait()
 }
 
 // TestPrepRecycleDeferredToRelease checks the buffer-pool safety contract:
@@ -246,30 +266,24 @@ func TestPrepLRUEviction(t *testing.T) {
 func TestPrepRecycleDeferredToRelease(t *testing.T) {
 	r := NewRunner()
 	nt := &trace.NestTrace{Streams: [][]trace.Access{make([]trace.Access, 4, 8)}}
-	victim := &prepCall{finished: true, refs: 1, lastUse: 0,
-		pr: &prep{traces: []*trace.NestTrace{nt}}}
-	r.preps[prepKey{app: "victim"}] = victim
-	for i := 1; i < maxPreps; i++ {
-		r.preps[prepKey{app: fmt.Sprintf("a%d", i)}] = &prepCall{finished: true, lastUse: uint64(i)}
+	victim := prepKey{app: "victim"}
+	_, release, err := r.preps.Acquire(context.Background(), victim, func() (*prep, error) {
+		return &prep{traces: []*trace.NestTrace{nt}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	r.mu.Lock()
-	r.evictLocked()
-	r.mu.Unlock()
-	if _, ok := r.preps[prepKey{app: "victim"}]; ok {
+	for i := 1; i <= maxPreps; i++ {
+		acquireEmpty(t, r, prepKey{app: fmt.Sprintf("a%d", i)})
+	}
+	if r.preps.Has(victim) {
 		t.Fatal("LRU victim survived eviction")
 	}
-	if !victim.evicted {
-		t.Fatal("evicted flag not set")
-	}
-	if victim.pr == nil || nt.Streams[0] == nil {
+	if nt.Streams[0] == nil {
 		t.Fatal("stream buffers recycled while still referenced")
 	}
 
-	r.release(victim)
-	if victim.pr != nil {
-		t.Error("final release of an evicted prep did not recycle it")
-	}
+	release()
 	if nt.Streams[0] != nil {
 		t.Error("stream buffer not returned to the pool")
 	}
@@ -299,7 +313,7 @@ func TestWorkersResolution(t *testing.T) {
 // error regardless of worker count.
 func TestForEachIndexError(t *testing.T) {
 	for _, par := range []int{1, 4} {
-		err := ForEachIndex(context.Background(), par, 8, func(i int) error {
+		err := forEachIndex(context.Background(), par, 8, func(i int) error {
 			if i >= 3 {
 				return fmt.Errorf("fail-%d", i)
 			}
@@ -309,7 +323,7 @@ func TestForEachIndexError(t *testing.T) {
 			t.Errorf("par=%d: err = %v, want fail-3", par, err)
 		}
 	}
-	if err := ForEachIndex(context.Background(), 4, 0, func(int) error { return nil }); err != nil {
+	if err := forEachIndex(context.Background(), 4, 0, func(int) error { return nil }); err != nil {
 		t.Errorf("empty range: %v", err)
 	}
 }

@@ -16,16 +16,15 @@ func (r *Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEachIndex evaluates fn(0) … fn(n-1) on up to par workers. The serial
+// forEachIndex evaluates fn(0) … fn(n-1) on up to par workers. The serial
 // path (par ≤ 1) stops at the first error, exactly like the pre-parallel
 // harness; the parallel path lets in-flight work finish and then returns
 // the error of the lowest failing index, so the reported error does not
 // depend on goroutine scheduling. A canceled ctx stops workers from
 // picking up new indices; in-flight cells abort through their own ctx
 // polling, and the cancellation error is reported when no cell failed
-// first. Exported for reuse outside the harness (the service load
-// generator fans its client workers out through it).
-func ForEachIndex(ctx context.Context, par, n int, fn func(i int) error) error {
+// first.
+func forEachIndex(ctx context.Context, par, n int, fn func(i int) error) error {
 	if par > n {
 		par = n
 	}
@@ -73,7 +72,7 @@ func ForEachIndex(ctx context.Context, par, n int, fn func(i int) error) error {
 // worker finishes first, so the emitted table is deterministic.
 func buildRows(ctx context.Context, r *Runner, t *Table, apps []string, row func(app string) ([]float64, error)) error {
 	rows := make([]Row, len(apps))
-	err := ForEachIndex(ctx, r.workers(), len(apps), func(i int) error {
+	err := forEachIndex(ctx, r.workers(), len(apps), func(i int) error {
 		vals, err := row(apps[i])
 		if err != nil {
 			return err

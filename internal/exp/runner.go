@@ -10,11 +10,11 @@ import (
 
 	"flopt/internal/baseline"
 	"flopt/internal/layout"
+	"flopt/internal/memo"
 	"flopt/internal/obs"
 	"flopt/internal/parallel"
 	"flopt/internal/poly"
 	"flopt/internal/sim"
-	"flopt/internal/storage/cache"
 	"flopt/internal/trace"
 	"flopt/internal/workloads"
 )
@@ -89,43 +89,18 @@ type prep struct {
 	optRes  *layout.Result    // only for inter schemes
 }
 
-// progCall is a singleflight slot for one parsed program: the first
-// goroutine to request an app computes it, later ones wait on done.
-type progCall struct {
-	done chan struct{}
-	p    *poly.Program
-	err  error
-}
-
-// prepCall is a singleflight slot for one preparation. lastUse is the
-// runner's recency clock value at the most recent request, driving LRU
-// eviction; finished flags that done is closed. refs counts callers that
-// obtained the prep and have not yet released it, and evicted marks a call
-// removed from the cache whose stream buffers should be recycled into the
-// runner's pool once the last user releases it (all guarded by Runner.mu).
-type prepCall struct {
-	done     chan struct{}
-	pr       *prep
-	err      error
-	lastUse  uint64
-	finished bool
-	refs     int
-	evicted  bool
-}
-
 // Runner caches parsed programs and generated traces across experiment
 // sweeps (a cache-capacity sweep, for instance, reuses the same traces).
 // The prep cache is bounded: traces are large, and an unbounded cache
 // would exhaust memory over a long multi-figure run.
 //
-// A Runner is safe for concurrent use: the caches are singleflight-guarded,
-// so two workers preparing the same (app, scheme, platform) key share one
-// preparation instead of duplicating it.
+// A Runner is safe for concurrent use: both caches are memo.Cache
+// singleflights, so two workers preparing the same (app, scheme,
+// platform) key share one preparation instead of duplicating it.
 type Runner struct {
-	mu    sync.Mutex
-	progs map[string]*progCall
-	preps map[prepKey]*prepCall
-	seq   uint64 // recency clock for LRU eviction
+	progs *memo.Cache[string, *poly.Program]
+	// preps pins a preparation while a simulation reads its traces.
+	preps *memo.Cache[prepKey, *prep]
 	// pool recycles per-thread Access stream buffers across preparations:
 	// an evicted prep's streams return to the pool (once unreferenced) and
 	// the next trace generation draws from it instead of allocating.
@@ -143,6 +118,7 @@ type Runner struct {
 
 	// cells holds the per-cell metric snapshots, keyed deterministically
 	// (guarded by mu).
+	mu    sync.Mutex
 	cells map[string]*obs.Snapshot
 }
 
@@ -153,139 +129,31 @@ const maxPreps = 40
 
 // NewRunner returns an empty runner.
 func NewRunner() *Runner {
-	return &Runner{progs: map[string]*progCall{}, preps: map[prepKey]*prepCall{}}
+	r := &Runner{progs: memo.New[string, *poly.Program](0, nil)}
+	r.preps = memo.New[prepKey, *prep](maxPreps, func(pr *prep) { r.pool.Put(pr.traces) })
+	return r
 }
 
 func (r *Runner) program(app string) (*poly.Program, error) {
-	r.mu.Lock()
-	if c, ok := r.progs[app]; ok {
-		r.mu.Unlock()
-		<-c.done
-		return c.p, c.err
-	}
-	c := &progCall{done: make(chan struct{})}
-	r.progs[app] = c
-	r.mu.Unlock()
-
-	c.p, c.err = loadProgram(app)
-	close(c.done)
-	return c.p, c.err
-}
-
-func loadProgram(app string) (*poly.Program, error) {
-	w, ok := workloads.ByName(app)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown workload %q", app)
-	}
-	return w.Program()
-}
-
-// defaultPlans builds the standard parallelization of p for cfg.
-func defaultPlans(p *poly.Program, cfg sim.Config) (map[*poly.LoopNest]*parallel.Plan, error) {
-	plans := make(map[*poly.LoopNest]*parallel.Plan, len(p.Nests))
-	for _, n := range p.Nests {
-		plan, err := parallel.NewPlan(n, cfg.Threads(), 1)
-		if err != nil {
-			return nil, err
+	p, _, err := r.progs.Get(context.Background(), app, func() (*poly.Program, error) {
+		w, ok := workloads.ByName(app)
+		if !ok {
+			return nil, fmt.Errorf("exp: unknown workload %q", app)
 		}
-		plans[n] = plan
-	}
-	return plans, nil
+		return w.Program()
+	})
+	return p, err
 }
 
-// evictLocked makes room for one more preparation by dropping the least
-// recently used completed entries. In-flight preparations are never evicted
-// (waiters deduplicate against them); if all entries are in flight the
-// cache temporarily overflows instead. An evicted prep's stream buffers are
-// recycled into the pool immediately when unreferenced, else deferred to
-// the last release. Caller holds r.mu.
-func (r *Runner) evictLocked() {
-	for len(r.preps) >= maxPreps {
-		var victim prepKey
-		var victimCall *prepCall
-		for k, c := range r.preps {
-			if !c.finished {
-				continue
-			}
-			if victimCall == nil || c.lastUse < victimCall.lastUse {
-				victim, victimCall = k, c
-			}
-		}
-		if victimCall == nil {
-			return
-		}
-		delete(r.preps, victim)
-		victimCall.evicted = true
-		if victimCall.refs == 0 {
-			r.recycleLocked(victimCall)
-		}
-	}
-}
-
-// recycleLocked returns c's stream buffers to the pool. Caller holds r.mu
-// and guarantees c is evicted with no remaining references.
-func (r *Runner) recycleLocked(c *prepCall) {
-	if c.pr != nil {
-		r.pool.Put(c.pr.traces)
-		c.pr = nil
-	}
-}
-
-// release drops one reference to c, recycling its buffers if it was the
-// last reference to an evicted prep.
-func (r *Runner) release(c *prepCall) {
-	r.mu.Lock()
-	c.refs--
-	if c.refs == 0 && c.evicted {
-		r.recycleLocked(c)
-	}
-	r.mu.Unlock()
-}
-
-// prepare resolves layouts and traces for (app, cfg, scheme), caching the
-// result with singleflight semantics and LRU-bounded capacity. The caller
-// must invoke the returned release function once it no longer reads the
-// prep's traces; a prep is only recycled after eviction AND release of
+// prepare resolves layouts and traces for (app, cfg, scheme), built once
+// per key and kept in the bounded prep cache. The caller must invoke the
+// returned release once it no longer reads the prep's traces: a prep's
+// stream buffers are recycled only after its eviction AND the release of
 // every reference, so in-flight simulations never lose their streams.
 func (r *Runner) prepare(app string, cfg sim.Config, scheme Scheme) (*prep, func(), error) {
-	key := keyFor(app, cfg, scheme)
-	r.mu.Lock()
-	r.seq++
-	if c, ok := r.preps[key]; ok {
-		c.lastUse = r.seq
-		c.refs++
-		r.mu.Unlock()
-		<-c.done
-		if c.err != nil {
-			r.release(c)
-			return nil, nil, c.err
-		}
-		return c.pr, func() { r.release(c) }, nil
-	}
-	c := &prepCall{done: make(chan struct{}), lastUse: r.seq, refs: 1}
-	r.evictLocked()
-	r.preps[key] = c
-	r.mu.Unlock()
-
-	c.pr, c.err = r.buildPrep(app, cfg, scheme)
-
-	r.mu.Lock()
-	c.finished = true
-	if c.err != nil {
-		// Failed preparations are not worth a cache slot; the error is
-		// still delivered to every waiter through the call itself.
-		if r.preps[key] == c {
-			delete(r.preps, key)
-		}
-		c.evicted = true
-		c.refs--
-	}
-	r.mu.Unlock()
-	close(c.done)
-	if c.err != nil {
-		return nil, nil, c.err
-	}
-	return c.pr, func() { r.release(c) }, nil
+	return r.preps.Acquire(context.Background(), keyFor(app, cfg, scheme), func() (*prep, error) {
+		return r.buildPrep(app, cfg, scheme)
+	})
 }
 
 // buildPrep does the actual preparation work (layout choice + traces).
@@ -301,9 +169,6 @@ func (r *Runner) buildPrep(app string, cfg sim.Config, scheme Scheme) (*prep, er
 	switch scheme {
 	case SchemeDefault, SchemeCompMap:
 		layouts = layout.DefaultLayouts(p)
-		if plans, err = defaultPlans(p, cfg); err != nil {
-			return nil, err
-		}
 	case SchemeInter, SchemeInterIO, SchemeInterStorage, SchemeInterUnweighted, SchemeInterFlat:
 		h, err := cfg.LayoutHierarchy(scheme != SchemeInterStorage, scheme != SchemeInterIO)
 		if err != nil {
@@ -324,11 +189,13 @@ func (r *Runner) buildPrep(app string, cfg sim.Config, scheme Scheme) (*prep, er
 		if layouts, err = baseline.Reindex(p, cfg); err != nil {
 			return nil, err
 		}
-		if plans, err = defaultPlans(p, cfg); err != nil {
-			return nil, err
-		}
 	default:
 		return nil, fmt.Errorf("exp: unknown scheme %q", scheme)
+	}
+	if plans == nil {
+		if plans, err = parallel.DefaultPlans(p, cfg.Threads()); err != nil {
+			return nil, err
+		}
 	}
 
 	pr.ft, err = trace.NewFileTable(p, layouts)
@@ -347,13 +214,6 @@ func (r *Runner) buildPrep(app string, cfg sim.Config, scheme Scheme) (*prep, er
 		pr.mapping = &m
 	}
 	return pr, nil
-}
-
-// cachedPreps returns the number of resident preparations (tests only).
-func (r *Runner) cachedPreps() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.preps)
 }
 
 // Run simulates app under cfg with the given scheme and returns the
@@ -378,21 +238,7 @@ func (r *Runner) RunContext(ctx context.Context, app string, cfg sim.Config, sch
 	if r.CollectMetrics {
 		cfg.Metrics = true
 	}
-	var hints []cache.RangeHint
-	if cfg.Policy == "karma" {
-		hints = sim.GenerateHints(cfg, pr.ft, pr.traces)
-	}
-	machine, err := sim.NewMachine(cfg, hints)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", app, scheme, err)
-	}
-	fileBlocks := make([]int64, len(pr.ft.Names))
-	for f := range fileBlocks {
-		fileBlocks[f] = pr.ft.Blocks(int32(f), cfg.BlockElems)
-	}
-	machine.SetFileBlocks(fileBlocks)
-	machine.SetFileNames(pr.ft.Names)
-	rep, err := machine.RunContext(ctx, pr.traces)
+	rep, err := sim.RunTraces(ctx, cfg, pr.ft, pr.traces, nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %s/%s: %w", app, scheme, err)
 	}

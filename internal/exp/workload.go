@@ -69,7 +69,7 @@ func WorkloadSweep(ctx context.Context, r *Runner, cfg sim.Config, events []work
 	// slots so aggregation order never depends on scheduling.
 	execDef := make([]float64, len(progs))
 	execOpt := make([]float64, len(progs))
-	err := ForEachIndex(ctx, r.workers(), 2*len(progs), func(i int) error {
+	err := forEachIndex(ctx, r.workers(), 2*len(progs), func(i int) error {
 		prog, out, scheme := progs[i/2], execDef, SchemeDefault
 		if i%2 == 1 {
 			out, scheme = execOpt, SchemeInter

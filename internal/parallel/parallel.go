@@ -24,6 +24,20 @@ type Plan struct {
 	BlockSize int64 // iterations of loop U per block (last block may be short)
 }
 
+// DefaultPlans builds the standard parallelization of every nest of p:
+// one iteration block per thread.
+func DefaultPlans(p *poly.Program, threads int) (map[*poly.LoopNest]*Plan, error) {
+	plans := make(map[*poly.LoopNest]*Plan, len(p.Nests))
+	for _, n := range p.Nests {
+		plan, err := NewPlan(n, threads, 1)
+		if err != nil {
+			return nil, err
+		}
+		plans[n] = plan
+	}
+	return plans, nil
+}
+
 // NewPlan builds the parallelization plan for nest with the given thread
 // count. blocksPerThread scales the number of iteration blocks
 // (x = threads·blocksPerThread); the paper's default distribution uses one

@@ -7,94 +7,34 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"flopt/internal/cluster"
 )
 
 // Admission control and graceful degradation: the middleware chain and
-// the two stateful admission primitives — a circuit breaker over the
-// simulate pipeline and a token-style retry budget — that keep floptd
-// answering cheap traffic while expensive traffic is shed.
+// the two stateful admission primitives that keep floptd answering cheap
+// traffic while expensive traffic is shed — a circuit breaker over the
+// simulate pipeline (a cluster.Breaker, the same type that tracks peer
+// health; see newAdmissionBreaker) and a token-style retry budget.
 //
 // Middleware order (outermost first): panic recovery, chaos injection,
 // retry budget, per-request deadline, then the route mux. Recovery is
 // outermost so a panic anywhere — including one injected by chaos —
 // becomes a 500 and a counter instead of a dead connection.
 
-// Breaker states, exported through the breaker_state gauge.
-const (
-	breakerClosed   = 0 // normal operation
-	breakerHalfOpen = 1 // cooled down; one probe in flight decides
-	breakerOpen     = 2 // shedding /v1/simulate
-)
-
-// breaker is a consecutive-failure circuit breaker over simulate job
-// outcomes. Threshold consecutive failures open it; while open,
-// /v1/simulate is shed with 503 (offset and compile traffic is never
-// gated — the breaker protects the expensive pipeline, not the cheap
-// one). After cooldown it half-opens and admits a single probe job whose
-// outcome closes or re-opens it. Any success closes it from any state.
-type breaker struct {
-	mu        sync.Mutex
-	now       func() time.Time // injectable clock for tests
-	threshold int
-	cooldown  time.Duration
-	met       *metrics
-
-	state    int
-	failures int
-	openedAt time.Time
-	probing  bool
-}
-
-func newBreaker(threshold int, cooldown time.Duration, met *metrics) *breaker {
-	b := &breaker{now: time.Now, threshold: threshold, cooldown: cooldown, met: met}
-	met.gauge(mBreakerState, breakerClosed)
-	return b
-}
-
-// allow reports whether a simulate submission may proceed.
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return true
-	case breakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
+// newAdmissionBreaker builds the breaker over simulate job outcomes.
+// Threshold consecutive failures open it; while open, /v1/simulate is
+// shed with 503 (offset and compile traffic is never gated — the breaker
+// protects the expensive pipeline, not the cheap one). Its transitions
+// drive the breaker_state gauge and breaker_opens_total.
+func newAdmissionBreaker(threshold int, cooldown time.Duration, met *metrics) *cluster.Breaker {
+	met.gauge(mBreakerState, float64(cluster.BreakerClosed))
+	return cluster.NewBreaker(threshold, cooldown, func(st cluster.BreakerState) {
+		if st == cluster.BreakerOpen {
+			met.inc(mBreakerOpens)
 		}
-		b.state = breakerHalfOpen
-		b.probing = true
-		b.met.gauge(mBreakerState, breakerHalfOpen)
-		return true // the probe
-	default: // half-open: one probe outstanding decides
-		if b.probing {
-			return false
-		}
-		b.probing = true
-		return true
-	}
-}
-
-// record feeds one job outcome into the breaker.
-func (b *breaker) record(err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.probing = false
-	if err == nil {
-		b.failures = 0
-		if b.state != breakerClosed {
-			b.state = breakerClosed
-			b.met.gauge(mBreakerState, breakerClosed)
-		}
-		return
-	}
-	b.failures++
-	if b.state == breakerHalfOpen || (b.state == breakerClosed && b.failures >= b.threshold) {
-		b.state = breakerOpen
-		b.openedAt = b.now()
-		b.met.inc(mBreakerOpens)
-		b.met.gauge(mBreakerState, breakerOpen)
-	}
+		met.gauge(mBreakerState, float64(st))
+	})
 }
 
 // retryBudget is a token bucket that bounds how much service capacity

@@ -2,69 +2,121 @@ package service
 
 import (
 	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"flopt/internal/cluster"
 	"flopt/internal/service/api"
 )
 
 func TestBreakerStateMachine(t *testing.T) {
 	met := newMetrics()
-	b := newBreaker(3, time.Minute, met)
+	b := newAdmissionBreaker(3, time.Minute, met)
 	now := time.Unix(1000, 0)
-	b.now = func() time.Time { return now }
+	b.SetClock(func() time.Time { return now })
 
-	boom := errors.New("boom")
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("closed breaker rejected")
 	}
-	b.record(boom)
-	b.record(boom)
-	if !b.allow() {
+	b.Record(false)
+	b.Record(false)
+	if !b.Allow() {
 		t.Fatal("breaker opened below threshold")
 	}
-	b.record(boom) // third consecutive failure: opens
-	if b.allow() {
+	b.Record(false) // third consecutive failure: opens
+	if b.Allow() {
 		t.Fatal("open breaker admitted")
 	}
 	if got := met.counter(mBreakerOpens); got != 1 {
 		t.Errorf("breaker opens = %d, want 1", got)
 	}
-	if got := met.snapshot().Gauges[mBreakerState]; got != breakerOpen {
-		t.Errorf("breaker_state gauge = %g, want %d", got, breakerOpen)
+	if got := met.snapshot().Gauges[mBreakerState]; got != float64(cluster.BreakerOpen) {
+		t.Errorf("breaker_state gauge = %g, want %d", got, cluster.BreakerOpen)
 	}
 
 	// Cooldown elapses: exactly one probe is admitted.
 	now = now.Add(time.Minute)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("half-open breaker rejected the probe")
 	}
-	if b.allow() {
+	if got := met.snapshot().Gauges[mBreakerState]; got != float64(cluster.BreakerHalfOpen) {
+		t.Errorf("breaker_state gauge = %g, want %d", got, cluster.BreakerHalfOpen)
+	}
+	if b.Allow() {
 		t.Fatal("half-open breaker admitted a second probe")
 	}
-	b.record(nil) // probe succeeds: closed
-	if !b.allow() || met.snapshot().Gauges[mBreakerState] != breakerClosed {
+	b.Record(true) // probe succeeds: closed
+	if !b.Allow() || met.snapshot().Gauges[mBreakerState] != float64(cluster.BreakerClosed) {
 		t.Fatal("successful probe did not close the breaker")
 	}
 
 	// A failed probe re-opens immediately and restarts the cooldown.
-	b.record(boom)
-	b.record(boom)
-	b.record(boom)
+	b.Record(false)
+	b.Record(false)
+	b.Record(false)
 	now = now.Add(time.Minute)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("second probe rejected")
 	}
-	b.record(boom)
-	if b.allow() {
+	b.Record(false)
+	if b.Allow() {
 		t.Fatal("breaker admitted right after a failed probe")
 	}
 	if got := met.counter(mBreakerOpens); got != 3 {
 		t.Errorf("breaker opens = %d, want 3 (threshold, then failed probe)", got)
+	}
+}
+
+// TestBreakerProbeWithoutJobDoesNotWedge drives the half-open breaker
+// with a probe that never becomes a job: the submission is admitted as
+// the probe, then answers 404 for an unknown layout, so no job outcome
+// ever reports back. The probe's lease must run out after one more
+// cooldown and let the next submission probe; a breaker that waits for
+// the lost outcome sheds /v1/simulate forever.
+func TestBreakerProbeWithoutJobDoesNotWedge(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	comp := compileTestProg(t, ts)
+	var clock atomic.Int64 // read on handler goroutines
+	clock.Store(time.Unix(1000, 0).UnixNano())
+	s.breaker.SetClock(func() time.Time { return time.Unix(0, clock.Load()) })
+	advance := func() { clock.Add(int64(s.cfg.BreakerCooldown)) }
+	simulate := func(layoutID string) (int, api.JobResponse) {
+		var sub api.JobResponse
+		code, _ := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: layoutID}, &sub)
+		return code, sub
+	}
+
+	for i := 0; i < s.cfg.BreakerThreshold; i++ {
+		s.breaker.Record(false)
+	}
+	if code, _ := simulate(comp.LayoutID); code != http.StatusServiceUnavailable {
+		t.Fatalf("open breaker: status %d, want 503", code)
+	}
+	advance()
+	if code, _ := simulate("ly0000000000000000"); code != http.StatusNotFound {
+		t.Fatalf("probe for an unknown layout: status %d, want 404", code)
+	}
+	if code, _ := simulate(comp.LayoutID); code != http.StatusServiceUnavailable {
+		t.Fatalf("within the probe's lease: status %d, want 503", code)
+	}
+	advance()
+	code, sub := simulate(comp.LayoutID)
+	if code != http.StatusAccepted {
+		t.Fatalf("after the probe's lease ran out: status %d, want 202", code)
+	}
+	waitJob(t, ts, sub.JobID)
+	for deadline := time.Now().Add(10 * time.Second); s.breaker.Open(); {
+		if time.Now().After(deadline) {
+			t.Fatal("successful probe job did not close the breaker")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := s.Metrics().snapshot().Gauges[mBreakerState]; got != float64(cluster.BreakerClosed) {
+		t.Errorf("breaker_state gauge = %g, want %d", got, cluster.BreakerClosed)
 	}
 }
 
@@ -75,7 +127,7 @@ func TestBreakerShedsSimulateNotOffsets(t *testing.T) {
 	// Trip the breaker the way real traffic would: consecutive job
 	// failures reported through the pool's onResult hook.
 	for i := 0; i < s.cfg.BreakerThreshold; i++ {
-		s.breaker.record(errors.New("job failed"))
+		s.breaker.Record(false)
 	}
 	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
 		strings.NewReader(`{"layout_id":"`+comp.LayoutID+`"}`))
@@ -98,11 +150,11 @@ func TestBreakerShedsSimulateNotOffsets(t *testing.T) {
 	if code != http.StatusOK {
 		t.Errorf("offsets with open breaker: %d: %s", code, body)
 	}
-	if got := s.Metrics().snapshot().Gauges[mBreakerState]; got != breakerOpen {
-		t.Errorf("breaker_state gauge = %g, want %d", got, breakerOpen)
+	if got := s.Metrics().snapshot().Gauges[mBreakerState]; got != float64(cluster.BreakerOpen) {
+		t.Errorf("breaker_state gauge = %g, want %d", got, cluster.BreakerOpen)
 	}
 	// A success (probe or otherwise) closes it; simulate flows again.
-	s.breaker.record(nil)
+	s.breaker.Record(true)
 	var sub api.JobResponse
 	if code, body := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: comp.LayoutID}, &sub); code != http.StatusAccepted {
 		t.Errorf("simulate after close: %d: %s", code, body)
@@ -194,7 +246,7 @@ func TestRequestDeadlineAbortsOffsets(t *testing.T) {
 	// Compile out of band: the deadline middleware would expire any HTTP
 	// compile before it could answer, and the test targets the offsets
 	// mid-batch abort specifically.
-	ent, _, err := s.cache.get(context.Background(), testProg, s.cfg.Platform)
+	ent, _, err := s.compileCached(context.Background(), testProg, s.cfg.Platform, mCompileBuilds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"flopt/internal/layout"
+	"flopt/internal/memo"
 	"flopt/internal/poly"
 	"flopt/internal/sim"
 )
@@ -49,150 +49,31 @@ func (c *compiled) layoutFor(name string) (layout.Layout, *poly.Array, bool) {
 	return c.Result.Layouts[name], a, true
 }
 
-// compileCall is a singleflight slot for one layout ID: the first request
-// to present an ID compiles it, later ones wait on done. lastUse is the
-// cache's recency clock at the most recent request, driving LRU eviction
-// (all fields but ent/err guarded by compileCache.mu; ent and err are
-// written once before done closes).
-type compileCall struct {
-	done     chan struct{}
-	ent      *compiled
-	err      error
-	lastUse  uint64
-	finished bool
-}
-
-// compileCache deduplicates compilation work: identical submissions share
-// one build (singleflight), completed builds are kept in a bounded LRU.
-// It is the service twin of exp.Runner's prep cache — entries here are
-// immutable, so there is no refcounted buffer recycling to mirror.
-type compileCache struct {
-	mu      sync.Mutex
-	calls   map[string]*compileCall
-	seq     uint64
-	max     int
-	met     *metrics
-	compile func(source string, cfg sim.Config) (*compiled, error)
-}
-
-func newCompileCache(max int, met *metrics, compile func(string, sim.Config) (*compiled, error)) *compileCache {
-	return &compileCache{calls: map[string]*compileCall{}, max: max, met: met, compile: compile}
-}
-
-// get returns the compiled entry for (source, cfg), building it at most
-// once per ID regardless of how many requests race. The build runs on the
-// first caller's goroutine but is never abandoned on ctx cancellation —
-// joined waiters (and future requests) still receive the result; only
-// this caller's wait is cut short.
-func (cc *compileCache) get(ctx context.Context, source string, cfg sim.Config) (*compiled, bool, error) {
-	return cc.getCounted(ctx, source, cfg, mCompileBuilds)
-}
-
-// getCounted is get with the build charged to an explicit counter:
-// client-driven compiles count in compile_builds_total, cluster peer
-// fills in cluster_fill_builds_total — keeping compile_builds_total the
-// exact count of authoritative builds, which is what makes the
-// distributed-singleflight property observable. When a fill and a
-// compile race on one ID, whichever starts the build picks the counter.
-func (cc *compileCache) getCounted(ctx context.Context, source string, cfg sim.Config, buildCounter string) (*compiled, bool, error) {
+// compileCached returns the entry for (source, cfg) from the layout
+// cache, building it at most once per ID however many requests race
+// (see memo.Cache: a ctx that ends cuts only this caller's wait short).
+// The bool reports whether the entry was joined or already resident.
+// The build is charged to buildCounter: client compiles count in
+// compile_builds_total, cluster peer fills in cluster_fill_builds_total,
+// which keeps compile_builds_total the exact count of authoritative
+// builds that the distributed-singleflight property is observed by.
+func (s *Server) compileCached(ctx context.Context, source string, cfg sim.Config, buildCounter string) (*compiled, bool, error) {
 	id := layoutID(source, cfg)
-	cc.mu.Lock()
-	cc.seq++
-	if c, ok := cc.calls[id]; ok {
-		c.lastUse = cc.seq
-		if c.finished {
-			cc.met.inc(mCompileCacheHits)
-		} else {
-			cc.met.inc(mCompileJoined)
+	ent, res, err := s.cache.Get(ctx, id, func() (*compiled, error) {
+		s.met.inc(buildCounter)
+		ent, err := s.build(source, cfg)
+		if ent != nil {
+			ent.ID = id
 		}
-		cc.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.ent, true, c.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		return ent, err
+	})
+	switch res {
+	case memo.Hit:
+		s.met.inc(mCompileCacheHits)
+	case memo.Joined:
+		s.met.inc(mCompileJoined)
+	default:
+		s.met.gauge(mLayoutsResident, float64(s.cache.Len()))
 	}
-	c := &compileCall{done: make(chan struct{}), lastUse: cc.seq}
-	cc.evictLocked()
-	cc.calls[id] = c
-	cc.mu.Unlock()
-
-	cc.met.inc(buildCounter)
-	ent, err := cc.compile(source, cfg)
-	if ent != nil {
-		ent.ID = id
-	}
-	c.ent, c.err = ent, err
-
-	cc.mu.Lock()
-	c.finished = true
-	if err != nil && cc.calls[id] == c {
-		// Failed builds do not occupy a slot; the error still reaches
-		// every joined waiter through the call itself.
-		delete(cc.calls, id)
-	}
-	cc.met.gauge(mLayoutsResident, float64(len(cc.calls)))
-	cc.mu.Unlock()
-	close(c.done)
-	return c.ent, false, c.err
-}
-
-// lookup returns the resident entry for id without compiling, refreshing
-// its recency. The second result reports whether the ID is resident and
-// finished (an in-flight build is reported as absent: offset queries
-// against it would otherwise block the hot path on compilation).
-func (cc *compileCache) lookup(id string) (*compiled, bool) {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	c, ok := cc.calls[id]
-	if !ok || !c.finished || c.err != nil {
-		return nil, false
-	}
-	cc.seq++
-	c.lastUse = cc.seq
-	return c.ent, true
-}
-
-// evictLocked makes room for one more entry by dropping the least
-// recently used completed builds; in-flight builds are never evicted
-// (waiters deduplicate against them). Caller holds cc.mu.
-func (cc *compileCache) evictLocked() {
-	for len(cc.calls) >= cc.max {
-		var victim string
-		var victimCall *compileCall
-		for id, c := range cc.calls {
-			if !c.finished {
-				continue
-			}
-			if victimCall == nil || c.lastUse < victimCall.lastUse {
-				victim, victimCall = id, c
-			}
-		}
-		if victimCall == nil {
-			return
-		}
-		delete(cc.calls, victim)
-		cc.met.inc(mCompileEvictions)
-	}
-}
-
-// resident returns the number of resident entries (tests and /healthz).
-func (cc *compileCache) resident() int {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	return len(cc.calls)
-}
-
-// has reports whether id is resident — as a finished entry or an
-// in-flight build. Layout-journal snapshots filter on it, queried live
-// per record: a call slot is registered before its WAL record is
-// appended, so any record a snapshot can see already answers true here,
-// and a journaled layout is never dropped while it is (or is becoming)
-// resident.
-func (cc *compileCache) has(id string) bool {
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	_, ok := cc.calls[id]
-	return ok
+	return ent, res != memo.Built, err
 }

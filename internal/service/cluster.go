@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"flopt/internal/cluster"
+	"flopt/internal/memo"
 	"flopt/internal/service/api"
 	"flopt/internal/service/client"
 	"flopt/internal/sim"
@@ -77,10 +78,7 @@ type clusterNode struct {
 	loads *cluster.Table
 	met   *metrics
 
-	mu       sync.Mutex
-	replicas map[string]api.LayoutRecord // layout ID → record, FIFO-bounded
-	order    []string
-	maxRecs  int
+	replicas *memo.Cache[string, api.LayoutRecord] // layout ID → record
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -107,8 +105,7 @@ func newClusterNode(cfg ClusterConfig, maxRecs int, met *metrics) (*clusterNode,
 		peers:    map[string]*peerConn{},
 		loads:    cluster.NewTable(),
 		met:      met,
-		replicas: map[string]api.LayoutRecord{},
-		maxRecs:  maxRecs,
+		replicas: memo.New[string, api.LayoutRecord](maxRecs, nil),
 		stop:     make(chan struct{}),
 	}
 	for _, n := range cfg.Roster {
@@ -122,7 +119,7 @@ func newClusterNode(cfg ClusterConfig, maxRecs int, met *metrics) (*clusterNode,
 			client: client.New(n.URL,
 				client.WithHTTPClient(&http.Client{Timeout: cfg.PeerTimeout}),
 				client.WithHeader(peerHeader, cfg.Self)),
-			breaker: cluster.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: cluster.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
 		}
 	}
 	cn.ring = cluster.NewRing(ids, cfg.VNodes)
@@ -167,28 +164,11 @@ func (cn *clusterNode) call(ctx context.Context, id string, fn func(context.Cont
 	return fmt.Errorf("%w: %s: %v", errPeerDown, id, err)
 }
 
-// rememberRecord stores a replica layout record (FIFO-bounded) so a
-// later offsets/simulate miss can materialize the layout without
-// another owner round-trip.
+// rememberRecord keeps a replica layout record (the first one per ID,
+// LRU-bounded) so a later offsets/simulate miss can materialize the
+// layout without another owner round-trip.
 func (cn *clusterNode) rememberRecord(rec api.LayoutRecord) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	if _, ok := cn.replicas[rec.ID]; ok {
-		return
-	}
-	cn.replicas[rec.ID] = rec
-	cn.order = append(cn.order, rec.ID)
-	for cn.maxRecs > 0 && len(cn.order) > cn.maxRecs {
-		delete(cn.replicas, cn.order[0])
-		cn.order = cn.order[1:]
-	}
-}
-
-func (cn *clusterNode) record(id string) (api.LayoutRecord, bool) {
-	cn.mu.Lock()
-	defer cn.mu.Unlock()
-	rec, ok := cn.replicas[id]
-	return rec, ok
+	cn.replicas.Get(context.Background(), rec.ID, func() (api.LayoutRecord, error) { return rec, nil })
 }
 
 // startGossip launches the load-refresh loop. The first sweep runs
@@ -306,7 +286,7 @@ func (s *Server) selfLoad() cluster.Load {
 		QueueDepth: depth,
 		Running:    running,
 		JobEWMAUS:  ewma,
-		Layouts:    s.cache.resident(),
+		Layouts:    s.cache.Len(),
 		UpdatedAt:  time.Now(),
 	}
 }
@@ -318,7 +298,7 @@ func (s *Server) selfLoad() cluster.Load {
 // verification the crash-recovery replay applies to the journal. Fill
 // builds count in cluster_fill_builds_total, not compile_builds_total.
 func (s *Server) fillLayout(ctx context.Context, id string) (*compiled, error) {
-	rec, ok := s.clu.record(id)
+	rec, ok := s.clu.replicas.Lookup(id)
 	if !ok {
 		owner := s.clu.owner(id)
 		if owner == s.clu.cfg.Self {
@@ -348,7 +328,7 @@ func (s *Server) fillLayout(ctx context.Context, id string) (*compiled, error) {
 		s.met.inc(mClusterFillMismatch)
 		return nil, errf(kindNotFound, "layout %q record failed verification (recompiles to %s)", id, got)
 	}
-	ent, _, err := s.cache.getCounted(ctx, rec.Source, cfg, mClusterFillBuilds)
+	ent, _, err := s.compileCached(ctx, rec.Source, cfg, mClusterFillBuilds)
 	if err != nil {
 		return nil, errf(kindUnprocessable, "layout %q fill failed: %v", id, err)
 	}
@@ -361,7 +341,7 @@ func (s *Server) fillLayout(ctx context.Context, id string) (*compiled, error) {
 // a miss on a cluster member tries a peer fill. The bool reports whether
 // a fill produced the entry.
 func (s *Server) lookupOrFill(ctx context.Context, id string) (*compiled, bool, error) {
-	if ent, ok := s.cache.lookup(id); ok {
+	if ent, ok := s.cache.Lookup(id); ok {
 		return ent, false, nil
 	}
 	if !s.clusterEnabled() {
@@ -402,7 +382,7 @@ func (s *Server) forwardCompile(ctx context.Context, w http.ResponseWriter, sour
 	if owner == s.clu.cfg.Self {
 		return false
 	}
-	if _, ok := s.cache.lookup(id); ok {
+	if _, ok := s.cache.Lookup(id); ok {
 		return false // read-through replica already resident: serve locally
 	}
 	var resp *api.CompileResponse
@@ -503,7 +483,7 @@ func (s *Server) proxyJobStatus(w http.ResponseWriter, r *http.Request, id strin
 // a resident layout — what a peer fill (or an auditing client) fetches.
 func (s *Server) handleLayoutRecord(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	ent, ok := s.cache.lookup(id)
+	ent, ok := s.cache.Lookup(id)
 	if !ok {
 		s.fail(w, http.StatusNotFound, "unknown layout %q", id)
 		return

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"flopt/internal/cluster"
 )
 
 // TestMetricsExpositionGolden pins the Prometheus text exposition format
@@ -37,7 +39,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.gauge(mQueueDepth, 3)
 	m.gauge(mJobsRunning, 2)
 	m.gauge(mLayoutsResident, 5)
-	m.gauge(mBreakerState, breakerOpen)
+	m.gauge(mBreakerState, float64(cluster.BreakerOpen))
 	m.gauge(mPeerUp("nb"), 1)
 	m.gauge(mRingShare("nb"), 0.34)
 	for _, us := range []int64{30, 75, 800, 30000, 2000000} {

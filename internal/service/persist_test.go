@@ -67,7 +67,7 @@ func TestLayoutRecoveryAcrossRestart(t *testing.T) {
 	if got := b.Metrics().counter(mRecoverySkipped); got != 0 {
 		t.Errorf("recovery skipped = %d, want 0", got)
 	}
-	if got := b.cache.resident(); got != 2 {
+	if got := b.cache.Len(); got != 2 {
 		t.Errorf("resident after restart = %d, want 2", got)
 	}
 	// Identical resubmission hits the recovered catalog: same ID, cached.
@@ -151,7 +151,7 @@ func TestJournalWriteFailureRejects(t *testing.T) {
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "not durable") {
 		t.Errorf("compile under journal failure: %d %s", code, body)
 	}
-	if got := s.cache.resident(); got != 1 {
+	if got := s.cache.Len(); got != 1 {
 		t.Errorf("resident after rejected compile = %d, want 1", got)
 	}
 	// A simulate whose accept record cannot be journaled is not accepted.
@@ -257,7 +257,7 @@ func TestRecoverySkipsStaleRecords(t *testing.T) {
 	defer stopDurable(t, s, ts)
 	// The mismatched-ID record still compiled a valid layout (resident
 	// under its true ID); the uncompilable record is skipped outright.
-	if got := s.cache.resident(); got != 1 {
+	if got := s.cache.Len(); got != 1 {
 		t.Errorf("resident = %d, want 1", got)
 	}
 	// Skips: uncompilable source, ID mismatch, and the orphaned job.

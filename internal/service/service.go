@@ -26,6 +26,8 @@ import (
 	"time"
 
 	"flopt"
+	"flopt/internal/cluster"
+	"flopt/internal/memo"
 	"flopt/internal/poly"
 	"flopt/internal/service/api"
 	"flopt/internal/sim"
@@ -116,13 +118,17 @@ func DefaultServerConfig() Config {
 // journals, admission control, metrics, and the HTTP surface over them.
 // Create with New, serve Handler, call Drain then Close on shutdown.
 type Server struct {
-	cfg     Config
-	met     *metrics
-	cache   *compileCache
+	cfg Config
+	met *metrics
+	// cache maps layout IDs to entries (see compileCached). Its Has
+	// answers true from the moment a build starts, before the build
+	// journals its record, so a layout snapshot filtering on it never
+	// drops a layout that is, or is becoming, resident.
+	cache   *memo.Cache[string, *compiled]
 	jobs    *jobPool
 	persist *persister
 	chaos   *chaos
-	breaker *breaker
+	breaker *cluster.Breaker
 	retry   *retryBudget
 	clu     *clusterNode // nil outside cluster mode
 	rec     *workload.TraceWriter
@@ -137,9 +143,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, met: newMetrics(), start: time.Now()}
 	s.chaos = newChaos(cfg.ChaosSeed, cfg.ChaosIntensity, s.met)
-	s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, s.met)
+	s.breaker = newAdmissionBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, s.met)
 	s.retry = newRetryBudget(cfg.RetryBudget)
-	s.cache = newCompileCache(cfg.CacheEntries, s.met, s.build)
+	s.cache = memo.New[string, *compiled](cfg.CacheEntries, func(*compiled) { s.met.inc(mCompileEvictions) })
 	if cfg.RecordPath != "" {
 		rec, err := workload.NewTraceWriter(cfg.RecordPath)
 		if err != nil {
@@ -186,7 +192,7 @@ func New(cfg Config) (*Server, error) {
 		met:        s.met,
 		run:        s.runJob,
 		journal:    s.journalJob,
-		onResult:   s.breaker.record,
+		onResult:   func(err error) { s.breaker.Record(err == nil) },
 	})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/compile", s.instrument("compile", s.handleCompile))
@@ -239,7 +245,7 @@ func (s *Server) Close() error {
 	if s.persist == nil {
 		return nil
 	}
-	if err := s.persist.snapshotLayouts(s.cache.has); err != nil {
+	if err := s.persist.snapshotLayouts(s.cache.Has); err != nil {
 		s.met.inc(mJournalErrors)
 	}
 	if err := s.persist.compactJobs(s.jobs.records()); err != nil {
@@ -275,7 +281,7 @@ func (s *Server) recoverState() error {
 			s.met.inc(mRecoverySkipped)
 			continue
 		}
-		ent, _, err := s.cache.get(context.Background(), rec.Source, cfg)
+		ent, _, err := s.compileCached(context.Background(), rec.Source, cfg, mCompileBuilds)
 		if err != nil || ent.ID != rec.ID {
 			// Unreplayable (base platform drifted, source rejected by a
 			// newer compiler): content addressing means the record is
@@ -325,7 +331,7 @@ func (s *Server) recoverState() error {
 			s.jobs.restore(j)
 			continue
 		}
-		ent, ok := s.cache.lookup(j.layoutID)
+		ent, ok := s.cache.Lookup(j.layoutID)
 		if !ok {
 			// The job's layout did not survive replay (skipped record or
 			// LRU pressure during recovery): terminal failure beats a
@@ -343,7 +349,7 @@ func (s *Server) recoverState() error {
 	}
 	s.met.add(mJobsRecovered, int64(rerun))
 
-	if err := s.persist.snapshotLayouts(s.cache.has); err != nil {
+	if err := s.persist.snapshotLayouts(s.cache.Has); err != nil {
 		s.met.inc(mJournalErrors)
 	}
 	if err := s.persist.compactJobs(s.jobs.records()); err != nil {
@@ -452,7 +458,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CompileWait)
 	defer cancel()
-	ent, cached, err := s.cache.get(ctx, source, cfg)
+	ent, cached, err := s.compileCached(ctx, source, cfg, mCompileBuilds)
 	switch {
 	case err == nil:
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -543,7 +549,7 @@ func (s *Server) maybeSnapshot() {
 	if s.persist.walSize() < threshold {
 		return
 	}
-	if err := s.persist.snapshotLayouts(s.cache.has); err != nil {
+	if err := s.persist.snapshotLayouts(s.cache.Has); err != nil {
 		s.met.inc(mJournalErrors)
 	}
 }
@@ -613,7 +619,7 @@ func (s *Server) handleOffsets(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// Shed before any work while the breaker is open: the expensive
 	// pipeline is protected, the cheap offsets path keeps flowing.
-	if !s.breaker.allow() {
+	if !s.breaker.Allow() {
 		s.met.inc(mShedRequests)
 		s.failErr(w, unavailablef(s.jobs.retryAfterSeconds(),
 			"simulate circuit open: recent jobs failed, shedding until a probe succeeds"))
@@ -634,15 +640,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ent, _, err := s.lookupOrFill(r.Context(), req.LayoutID)
 	if err != nil {
 		s.failErr(w, err)
-		return
-	}
-	// Config.Validate covers the numeric fields; the policy is resolved
-	// later (machine construction), so reject unknown names here instead
-	// of failing the job after acceptance.
-	switch req.Policy {
-	case "", "lru", "demote", "karma":
-	default:
-		s.fail(w, http.StatusBadRequest, "unknown policy %q (want lru, demote or karma)", req.Policy)
 		return
 	}
 	cfg := ent.Cfg
@@ -733,7 +730,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"version":          version.Version,
 		"uptime_s":         int64(time.Since(s.start).Seconds()),
 		"queue_depth":      s.jobs.depth(),
-		"layouts_resident": s.cache.resident(),
+		"layouts_resident": s.cache.Len(),
 	})
 }
 

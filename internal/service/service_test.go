@@ -320,6 +320,18 @@ func TestSimulateJobLifecycle(t *testing.T) {
 		api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "bogus"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad policy: status %d", code)
 	}
+	// Every selectable policy is accepted, mq included; report names
+	// such as "KARMA" are not.
+	code, body = postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "mq"}, &sub)
+	if code != http.StatusAccepted {
+		t.Errorf("policy mq: status %d: %s", code, body)
+	} else if job := waitJob(t, ts, sub.JobID); job.State != api.JobDone || job.Report.Policy != "MQ" {
+		t.Errorf("mq job = %+v", job)
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/simulate",
+		api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "KARMA"}, nil); code != http.StatusBadRequest {
+		t.Errorf("policy KARMA: status %d, want 400", code)
+	}
 	resp, err := http.Get(ts.URL + "/v1/jobs/job-999")
 	if err != nil {
 		t.Fatal(err)

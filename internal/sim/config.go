@@ -9,10 +9,12 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"flopt/internal/fault"
 	"flopt/internal/layout"
 	"flopt/internal/parallel"
+	"flopt/internal/storage/cache"
 	"flopt/internal/storage/disk"
 )
 
@@ -48,8 +50,9 @@ type Config struct {
 	// they are packed into blocks).
 	CPUPerElemNS int64
 
-	// Policy is the cache-hierarchy management scheme: "lru" (inclusive,
-	// the default), "demote", or "karma".
+	// Policy is the cache-hierarchy management scheme, one of
+	// cache.Names(): "lru" (inclusive, the default; "" means "lru"),
+	// "demote", "karma" or "mq". Validate rejects any other name.
 	Policy string
 	// ReadaheadBlocks enables storage-node readahead: each demand disk
 	// read also pulls the next N sequential blocks of the file into the
@@ -168,6 +171,9 @@ func (c Config) Validate() error {
 	}
 	if c.IOCacheBlocks < 0 || c.StorageCacheBlocks < 0 {
 		return fmt.Errorf("%w: cache capacities must be non-negative", ErrBadConfig)
+	}
+	if c.Policy != "" && !slices.Contains(cache.Names(), c.Policy) {
+		return fmt.Errorf("%w: unknown cache policy %q (want one of %v)", ErrBadConfig, c.Policy, cache.Names())
 	}
 	if err := c.Disk.Validate(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 
 	"flopt/internal/fault"
@@ -278,6 +279,31 @@ func (m *Machine) Reset() {
 	}
 	m.retries, m.timeouts, m.degradedReads, m.failedOver = 0, 0, 0, 0
 	m.lastEvictions = 0
+}
+
+// RunTraces is the tail every full run shares: it builds a machine for
+// cfg, with KARMA hints generated from the traces when cfg.Policy is
+// "karma", registers the block count and name of each file in ft,
+// attaches o (when non-nil), and runs the traces cold under ctx.
+func RunTraces(ctx context.Context, cfg Config, ft *trace.FileTable, traces []*trace.NestTrace, o obs.Observer) (*Report, error) {
+	var hints []cache.RangeHint
+	if cfg.Policy == "karma" {
+		hints = GenerateHints(cfg, ft, traces)
+	}
+	m, err := NewMachine(cfg, hints)
+	if err != nil {
+		return nil, err
+	}
+	fileBlocks := make([]int64, len(ft.Names))
+	for f := range fileBlocks {
+		fileBlocks[f] = ft.Blocks(int32(f), cfg.BlockElems)
+	}
+	m.SetFileBlocks(fileBlocks)
+	m.SetFileNames(ft.Names)
+	if o != nil {
+		m.SetObserver(o)
+	}
+	return m.RunContext(ctx, traces)
 }
 
 // Simulate is the one-shot convenience wrapper: build a machine, run the

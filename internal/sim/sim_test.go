@@ -92,6 +92,18 @@ func TestConfigValidate(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("mis-sized mapping accepted")
 	}
+	for _, pol := range []string{"", "lru", "demote", "karma", "mq"} {
+		c = DefaultConfig()
+		c.Policy = pol
+		if err := c.Validate(); err != nil {
+			t.Errorf("policy %q rejected: %v", pol, err)
+		}
+	}
+	c = DefaultConfig()
+	c.Policy = "KARMA"
+	if err := c.Validate(); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("policy KARMA: err = %v, want ErrBadConfig", err)
+	}
 }
 
 func TestIONodeRouting(t *testing.T) {

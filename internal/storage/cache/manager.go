@@ -261,16 +261,17 @@ var (
 	_ NodeStatsReporter = (*InclusiveMQ)(nil)
 )
 
-// NewByName constructs a policy by its report name; see Names.
+// NewByName constructs a policy by its selectable name, exactly one of
+// Names (the report names such as "KARMA" are not accepted).
 func NewByName(name string, nIO, nStorage, capIO, capStorage int, hints []RangeHint) (Manager, error) {
 	switch name {
-	case "lru", "LRU", "LRU-inclusive":
+	case "lru":
 		return NewInclusiveLRU(nIO, nStorage, capIO, capStorage), nil
-	case "demote", "DEMOTE-LRU":
+	case "demote":
 		return NewDemoteLRU(nIO, nStorage, capIO, capStorage), nil
-	case "karma", "KARMA":
+	case "karma":
 		return NewKARMA(nIO, nStorage, capIO, capStorage, hints), nil
-	case "mq", "MQ":
+	case "mq":
 		return NewInclusiveMQ(nIO, nStorage, capIO, capStorage), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown policy %q", name)

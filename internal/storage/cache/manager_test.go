@@ -224,8 +224,12 @@ func TestNewByName(t *testing.T) {
 			t.Errorf("NewByName(%q) failed: %v", name, err)
 		}
 	}
-	if _, err := NewByName("bogus", 1, 1, 1, 1, nil); err == nil {
-		t.Error("unknown policy accepted")
+	// Report names are not selectable names: "KARMA" once built KARMA
+	// without the hints its callers only generate for "karma".
+	for _, name := range []string{"bogus", "LRU", "LRU-inclusive", "DEMOTE-LRU", "KARMA", "MQ"} {
+		if _, err := NewByName(name, 1, 1, 1, 1, nil); err == nil {
+			t.Errorf("policy %q accepted", name)
+		}
 	}
 }
 

@@ -176,3 +176,27 @@ func Events(recs []Record) []Event {
 	}
 	return evs
 }
+
+// LoadEvents returns the event stream of exactly one of a spec file,
+// expanded deterministically, or a recorded trace. floptd's load
+// generator and exptab's workload sweep take their input this way.
+func LoadEvents(specPath, tracePath string) ([]Event, error) {
+	switch {
+	case (specPath == "") == (tracePath == ""):
+		return nil, fmt.Errorf("workload: need exactly one of a spec file and a trace file")
+	case specPath != "":
+		spec, err := LoadSpecFile(specPath)
+		if err != nil {
+			return nil, err
+		}
+		return spec.Generate()
+	}
+	recs, err := ReadTraceFile(tracePath)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("workload: trace %s holds no records", tracePath)
+	}
+	return Events(recs), nil
+}

@@ -9,7 +9,6 @@ import (
 	"flopt/internal/parallel"
 	"flopt/internal/poly"
 	"flopt/internal/sim"
-	"flopt/internal/storage/cache"
 	"flopt/internal/trace"
 )
 
@@ -133,17 +132,12 @@ func Run(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (*Repor
 	if layouts == nil {
 		layouts = layout.DefaultLayouts(p)
 	}
-	plans := map[*poly.LoopNest]*parallel.Plan{}
+	var plans map[*poly.LoopNest]*parallel.Plan
+	var err error
 	if o.res != nil {
 		plans = o.res.Plans
-	} else {
-		for _, n := range p.Nests {
-			plan, err := parallel.NewPlan(n, cfg.Threads(), 1)
-			if err != nil {
-				return nil, err
-			}
-			plans[n] = plan
-		}
+	} else if plans, err = parallel.DefaultPlans(p, cfg.Threads()); err != nil {
+		return nil, err
 	}
 
 	ft, err := trace.NewFileTable(p, layouts)
@@ -154,22 +148,5 @@ func Run(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	var hints []cache.RangeHint
-	if cfg.Policy == "karma" {
-		hints = sim.GenerateHints(cfg, ft, traces)
-	}
-	machine, err := sim.NewMachine(cfg, hints)
-	if err != nil {
-		return nil, err
-	}
-	fileBlocks := make([]int64, len(ft.Names))
-	for f := range fileBlocks {
-		fileBlocks[f] = ft.Blocks(int32(f), cfg.BlockElems)
-	}
-	machine.SetFileBlocks(fileBlocks)
-	machine.SetFileNames(ft.Names)
-	if o.observer != nil {
-		machine.SetObserver(o.observer)
-	}
-	return machine.RunContext(ctx, traces)
+	return sim.RunTraces(ctx, cfg, ft, traces, o.observer)
 }

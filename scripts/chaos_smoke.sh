@@ -74,8 +74,10 @@ for wl in swim mgrid bt; do
 	printf '%s %s\n' "$wl" "$id" >>"$workdir/layouts.set"
 done
 
-# Background load on the offsets hot path while jobs queue up; its exit
-# status is irrelevant (chaos may error its measurement requests).
+# Background load on the offsets hot path while jobs queue up: the
+# loadgen's hammer mode (-duration bounds it, -concurrency sets its
+# closed-loop workers). Its exit status is irrelevant (chaos may error
+# its setup requests).
 "$workdir/floptd" -loadgen -target "$base" -duration 15s -concurrency 8 \
 	>/dev/null 2>&1 || true &
 loadpid=$!

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # loadtest_service.sh — measure the floptd offsets hot path: boot the
 # daemon on an ephemeral port, warm it with one compile, then drive it
-# from the built-in load generator (floptd -loadgen) over keep-alive
-# connections and print the RPS / latency-quantile JSON on stdout.
+# from the built-in load generator's hammer mode (floptd -loadgen:
+# closed-loop workers, each request 4 offset queries of 512 elements)
+# over keep-alive connections and print the RPS / latency-quantile JSON
+# on stdout.
 #
 # Usage: scripts/loadtest_service.sh [-cluster] [duration] [concurrency]
 #
@@ -63,7 +65,7 @@ for port in $waiton; do
 done
 
 res=$("$workdir/floptd" -loadgen -target "$targets" \
-	-duration "$duration" -concurrency "$concurrency" -batch 4 -count 512)
+	-duration "$duration" -concurrency "$concurrency")
 
 for p in "${pids[@]}"; do kill -TERM "$p" 2>/dev/null || true; done
 for p in "${pids[@]}"; do wait "$p" 2>/dev/null || true; done
@@ -73,8 +75,9 @@ cores=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)
 go_version=$(go env GOVERSION)
 date_utc=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-# Merge run metadata into the loadgen JSON (the result object has no
-# nested objects, so splicing before the closing brace is safe).
+# Merge run metadata into the loadgen JSON: the encoder indents, so the
+# result object's closing brace is alone on the last line and splicing
+# before it is safe.
 printf '%s\n' "$res" | sed '$d'
 cat <<EOF
   ,"duration_requested": "$duration",
