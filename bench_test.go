@@ -20,6 +20,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"flopt/internal/exp"
 	"flopt/internal/layout"
@@ -178,9 +179,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // BenchmarkTraceGeneration measures trace generation alone (no simulation)
 // on the swim workload: the closed-form span emitter produces each stream
 // in O(blocks touched) rather than O(iterations). entries/run is the
-// compressed stream length, blocks/run its run-expanded block count (equal
-// for swim — its nests interleave several arrays per iteration, which
-// defeats run merging; single-ref nests compress further). The inter
+// stream length, one entry per block transaction, and bytes/run the
+// memory those entries hold. The inter
 // sub-benchmark is faster than default because the optimized layout makes
 // each thread's sweep contiguous: 64 iterations share a block, so the
 // emitter takes one step where the default layout's scattered scan takes
@@ -201,24 +201,19 @@ func BenchmarkTraceGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		var entries, blocks int64
+		var entries int64
 		for i := 0; i < b.N; i++ {
 			traces, err := trace.GenerateWorkers(p, plans, ft, cfg.BlockElems, cfg.Threads(), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			entries, blocks = 0, 0
+			entries = 0
 			for _, nt := range traces {
-				for _, s := range nt.Streams {
-					entries += int64(len(s))
-					for _, a := range s {
-						blocks += int64(a.Run) + 1
-					}
-				}
+				entries += nt.TotalAccesses()
 			}
 		}
 		b.ReportMetric(float64(entries), "entries/run")
-		b.ReportMetric(float64(blocks), "blocks/run")
+		b.ReportMetric(float64(entries)*float64(unsafe.Sizeof(trace.Access{})), "bytes/run")
 	}
 	b.Run("default", func(b *testing.B) {
 		plans := make(map[*poly.LoopNest]*parallel.Plan, len(p.Nests))

@@ -130,8 +130,8 @@ func ComputationMapping(cfg sim.Config, traces []*trace.NestTrace) (parallel.Map
 
 	// Footprints: the set of blocks each thread touches.
 	type blockKey struct {
-		file  int32
-		block int64
+		file  uint16
+		block uint32
 	}
 	foot := make([]map[blockKey]struct{}, threads)
 	for t := range foot {
@@ -140,9 +140,7 @@ func ComputationMapping(cfg sim.Config, traces []*trace.NestTrace) (parallel.Map
 	for _, nt := range traces {
 		for t, stream := range nt.Streams {
 			for _, acc := range stream {
-				for b := acc.Block; b <= acc.Block+int64(acc.Run); b++ {
-					foot[t][blockKey{acc.File, b}] = struct{}{}
-				}
+				foot[t][blockKey{acc.File, acc.Block}] = struct{}{}
 			}
 		}
 	}

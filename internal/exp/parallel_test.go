@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"flopt/internal/sim"
 	"flopt/internal/trace"
@@ -88,8 +89,9 @@ func TestFaultReplayAcrossWorkerCounts(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			// The optimized layout emits the longest compressed runs, so it
-			// also pins run-aware fault replay across worker counts.
+			// The optimized layout takes the span emitter's longest
+			// contiguous sweeps, so it also pins their fault replay across
+			// worker counts.
 			repI, err := r.Run(app, cfg, SchemeInter)
 			if err != nil {
 				return nil, err
@@ -199,30 +201,39 @@ func TestRunnerConcurrentRuns(t *testing.T) {
 	}
 }
 
-// acquireEmpty builds (or hits) an empty prep under key and releases it.
-func acquireEmpty(t *testing.T, r *Runner, key prepKey) {
+// entrySize is the bytes one trace entry weighs in the prep cache.
+const entrySize = int(unsafe.Sizeof(trace.Access{}))
+
+// getPrep builds (or hits) under key a prep holding n trace entries.
+func getPrep(t *testing.T, r *Runner, key prepKey, n int) {
 	t.Helper()
-	_, release, err := r.preps.Acquire(context.Background(), key, func() (*prep, error) { return &prep{}, nil })
+	_, _, err := r.preps.Get(context.Background(), key, func() (*prep, error) {
+		nt := &trace.NestTrace{Streams: [][]trace.Access{make([]trace.Access, n)}}
+		return &prep{traces: []*trace.NestTrace{nt}}, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	release()
 }
 
-// TestPrepLRUEviction checks the bounded prep cache evicts the least
-// recently used completed entry — not a recently touched one, and never an
-// in-flight one.
+// TestPrepLRUEviction checks the prep cache is bounded by the bytes of
+// its trace streams: a finished preparation evicts the least recently
+// used completed entries until the total fits — not a recently touched
+// one, and never an in-flight one.
 func TestPrepLRUEviction(t *testing.T) {
-	r := NewRunner()
 	key := func(i int) prepKey { return prepKey{app: fmt.Sprintf("a%d", i)} }
-	for i := 0; i < maxPreps; i++ {
-		acquireEmpty(t, r, key(i))
+	r := newRunner(10 * entrySize)
+	for i := 0; i < 5; i++ {
+		getPrep(t, r, key(i), 2)
+	}
+	if n := r.preps.Len(); n != 5 {
+		t.Fatalf("preps = %d with the budget exactly full, want 5", n)
 	}
 	// Touch the oldest entry so a1 becomes the LRU victim, then add one.
-	acquireEmpty(t, r, key(0))
-	acquireEmpty(t, r, key(maxPreps))
-	if n := r.preps.Len(); n != maxPreps {
-		t.Fatalf("preps = %d after eviction, want %d", n, maxPreps)
+	getPrep(t, r, key(0), 2)
+	getPrep(t, r, key(5), 2)
+	if n := r.preps.Len(); n != 5 {
+		t.Fatalf("preps = %d after eviction, want 5", n)
 	}
 	if r.preps.Has(key(1)) {
 		t.Error("least recently used entry a1 survived eviction")
@@ -230,66 +241,41 @@ func TestPrepLRUEviction(t *testing.T) {
 	if !r.preps.Has(key(0)) {
 		t.Error("recently touched entry a0 was evicted")
 	}
+	// A heavy preparation evicts as many light ones as its bytes need:
+	// a2, a3 and a4, the three least recently used.
+	getPrep(t, r, key(6), 6)
+	for i, want := range []bool{true, false, false, false, false, true, true} {
+		if r.preps.Has(key(i)) != want {
+			t.Errorf("a%d resident = %v, want %v", i, !want, want)
+		}
+	}
 
-	// In-flight preparations are never evicted: with every slot held by
-	// a blocked build, one more entry overflows the cache instead.
-	r = NewRunner()
+	// In-flight preparations are never evicted: a heavy build that
+	// finishes while two others still run evicts only the finished entry.
+	r = newRunner(2 * entrySize)
+	getPrep(t, r, key(9), 1)
 	gate := make(chan struct{})
 	var started, done sync.WaitGroup
-	for i := 0; i < maxPreps; i++ {
+	for i := 0; i < 2; i++ {
 		started.Add(1)
 		done.Add(1)
 		go func(i int) {
 			defer done.Done()
-			_, release, err := r.preps.Acquire(context.Background(), key(i), func() (*prep, error) {
+			r.preps.Get(context.Background(), key(i), func() (*prep, error) {
 				started.Done()
 				<-gate
 				return &prep{}, nil
 			})
-			if err == nil {
-				release()
-			}
 		}(i)
 	}
 	started.Wait()
-	acquireEmpty(t, r, key(maxPreps))
-	if n := r.preps.Len(); n != maxPreps+1 {
-		t.Errorf("in-flight entries were evicted: preps = %d, want %d", n, maxPreps+1)
+	getPrep(t, r, key(2), 2)
+	if r.preps.Has(key(9)) || !r.preps.Has(key(0)) || !r.preps.Has(key(1)) {
+		t.Errorf("a9 %v a0 %v a1 %v resident; want only the in-flight a0 and a1 kept",
+			r.preps.Has(key(9)), r.preps.Has(key(0)), r.preps.Has(key(1)))
 	}
 	close(gate)
 	done.Wait()
-}
-
-// TestPrepRecycleDeferredToRelease checks the buffer-pool safety contract:
-// evicting a preparation that a simulation still references must not
-// recycle its stream buffers; the recycle happens at the final release.
-func TestPrepRecycleDeferredToRelease(t *testing.T) {
-	r := NewRunner()
-	nt := &trace.NestTrace{Streams: [][]trace.Access{make([]trace.Access, 4, 8)}}
-	victim := prepKey{app: "victim"}
-	_, release, err := r.preps.Acquire(context.Background(), victim, func() (*prep, error) {
-		return &prep{traces: []*trace.NestTrace{nt}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= maxPreps; i++ {
-		acquireEmpty(t, r, prepKey{app: fmt.Sprintf("a%d", i)})
-	}
-	if r.preps.Has(victim) {
-		t.Fatal("LRU victim survived eviction")
-	}
-	if nt.Streams[0] == nil {
-		t.Fatal("stream buffers recycled while still referenced")
-	}
-
-	release()
-	if nt.Streams[0] != nil {
-		t.Error("stream buffer not returned to the pool")
-	}
-	if buf := r.pool.Get(); buf == nil || cap(buf) != 8 {
-		t.Errorf("pool did not receive the recycled buffer (got %v)", buf)
-	}
 }
 
 // TestWorkersResolution pins the Parallel-field semantics the flags rely

@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"flopt/internal/baseline"
 	"flopt/internal/layout"
@@ -91,20 +92,18 @@ type prep struct {
 
 // Runner caches parsed programs and generated traces across experiment
 // sweeps (a cache-capacity sweep, for instance, reuses the same traces).
-// The prep cache is bounded: traces are large, and an unbounded cache
-// would exhaust memory over a long multi-figure run.
+// The prep cache is bounded by the bytes of its trace streams: traces
+// are large, and an unbounded cache would exhaust memory over a long
+// multi-figure run.
 //
 // A Runner is safe for concurrent use: both caches are memo.Cache
 // singleflights, so two workers preparing the same (app, scheme,
-// platform) key share one preparation instead of duplicating it.
+// platform) key share one preparation instead of duplicating it. An
+// evicted preparation only leaves the cache; a simulation still reading
+// its traces keeps them alive.
 type Runner struct {
 	progs *memo.Cache[string, *poly.Program]
-	// preps pins a preparation while a simulation reads its traces.
 	preps *memo.Cache[prepKey, *prep]
-	// pool recycles per-thread Access stream buffers across preparations:
-	// an evicted prep's streams return to the pool (once unreferenced) and
-	// the next trace generation draws from it instead of allocating.
-	pool trace.BufferPool
 
 	// Parallel bounds the worker pool used by the table builders and by
 	// trace generation; 0 means runtime.GOMAXPROCS(0), 1 restores the
@@ -122,16 +121,33 @@ type Runner struct {
 	cells map[string]*obs.Snapshot
 }
 
-// maxPreps bounds the trace cache; beyond it the least recently used
-// completed preparation is evicted (sweeps touch preparations in clusters,
-// so mid-sweep reuse survives while cross-sweep buildup does not).
-const maxPreps = 40
+// prepBudget bounds the trace bytes the prep cache keeps; beyond it the
+// least recently used completed preparations are evicted (sweeps touch
+// preparations in clusters, so mid-sweep reuse survives while
+// cross-sweep buildup does not). Table 2 and Fig. 7(a) together hold
+// about 415 MB of streams, well inside it.
+const prepBudget = 1 << 30
 
 // NewRunner returns an empty runner.
-func NewRunner() *Runner {
-	r := &Runner{progs: memo.New[string, *poly.Program](0, nil)}
-	r.preps = memo.New[prepKey, *prep](maxPreps, func(pr *prep) { r.pool.Put(pr.traces) })
-	return r
+func NewRunner() *Runner { return newRunner(prepBudget) }
+
+// newRunner returns an empty runner whose prep cache keeps at most
+// budget bytes of trace streams.
+func newRunner(budget int) *Runner {
+	return &Runner{
+		progs: memo.New[string, *poly.Program](0, nil, nil),
+		preps: memo.New[prepKey, *prep](budget, (*prep).bytes, nil),
+	}
+}
+
+// bytes is the memory of the prep's trace streams, its weight in the
+// prep cache.
+func (pr *prep) bytes() int {
+	var n int64
+	for _, nt := range pr.traces {
+		n += nt.TotalAccesses()
+	}
+	return int(n) * int(unsafe.Sizeof(trace.Access{}))
 }
 
 func (r *Runner) program(app string) (*poly.Program, error) {
@@ -146,14 +162,12 @@ func (r *Runner) program(app string) (*poly.Program, error) {
 }
 
 // prepare resolves layouts and traces for (app, cfg, scheme), built once
-// per key and kept in the bounded prep cache. The caller must invoke the
-// returned release once it no longer reads the prep's traces: a prep's
-// stream buffers are recycled only after its eviction AND the release of
-// every reference, so in-flight simulations never lose their streams.
-func (r *Runner) prepare(app string, cfg sim.Config, scheme Scheme) (*prep, func(), error) {
-	return r.preps.Acquire(context.Background(), keyFor(app, cfg, scheme), func() (*prep, error) {
+// per key and kept in the bounded prep cache.
+func (r *Runner) prepare(app string, cfg sim.Config, scheme Scheme) (*prep, error) {
+	pr, _, err := r.preps.Get(context.Background(), keyFor(app, cfg, scheme), func() (*prep, error) {
 		return r.buildPrep(app, cfg, scheme)
 	})
+	return pr, err
 }
 
 // buildPrep does the actual preparation work (layout choice + traces).
@@ -202,7 +216,7 @@ func (r *Runner) buildPrep(app string, cfg sim.Config, scheme Scheme) (*prep, er
 	if err != nil {
 		return nil, err
 	}
-	pr.traces, err = trace.GenerateWorkersPool(p, plans, pr.ft, cfg.BlockElems, cfg.Threads(), r.workers(), &r.pool)
+	pr.traces, err = trace.GenerateWorkers(p, plans, pr.ft, cfg.BlockElems, cfg.Threads(), r.workers())
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +241,10 @@ func (r *Runner) Run(app string, cfg sim.Config, scheme Scheme) (*sim.Report, er
 // RunContext is Run with cooperative cancellation: a canceled ctx aborts
 // the simulation in flight with an error wrapping ctx.Err().
 func (r *Runner) RunContext(ctx context.Context, app string, cfg sim.Config, scheme Scheme) (*sim.Report, error) {
-	pr, release, err := r.prepare(app, cfg, scheme)
+	pr, err := r.prepare(app, cfg, scheme)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
 	if scheme == SchemeCompMap {
 		cfg.Mapping = pr.mapping
 	}
@@ -256,11 +269,9 @@ func (r *Runner) RunContext(ctx context.Context, app string, cfg sim.Config, sch
 // OptResult returns the optimizer output for app under cfg (inter scheme),
 // for the static statistics of §5.1.
 func (r *Runner) OptResult(app string, cfg sim.Config) (*layout.Result, error) {
-	pr, release, err := r.prepare(app, cfg, SchemeInter)
+	pr, err := r.prepare(app, cfg, SchemeInter)
 	if err != nil {
 		return nil, err
 	}
-	// Only the optimizer result escapes; recycling touches pr.traces alone.
-	release()
 	return pr.optRes, nil
 }

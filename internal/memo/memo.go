@@ -6,10 +6,9 @@
 // on the first caller's goroutine, and never abandons a build: a waiter
 // whose context ends stops waiting, the build goes on. A failed build
 // takes no slot; its error still reaches every caller that joined it.
-// Finished values live in an LRU that never evicts an in-flight build.
-// Acquire pins a value, and the onEvict hook sees an evicted value only
-// once no pin remains — which lets the harness recycle trace buffers
-// without pulling them from under a running simulation.
+// Finished values live in an LRU, bounded by entry count or by a weight
+// such as bytes, that never evicts an in-flight build. An evicted value
+// leaves the cache only: a caller still reading it keeps it alive.
 package memo
 
 import (
@@ -26,18 +25,17 @@ const (
 	Hit                  // the value was already built
 )
 
-// entry is one key's slot. val, err and finished are written under the
-// cache lock before done closes; lastUse is the recency clock at the
-// key's latest use; refs counts Acquire pins; evicted marks an entry
-// dropped from the map whose onEvict call waits for the last release.
+// entry is one key's slot. val, err, weight and finished are written
+// under the cache lock before done closes; lastUse is the recency clock
+// at the key's latest use; weight is what the entry counts against the
+// cache's bound.
 type entry[V any] struct {
 	done     chan struct{}
 	val      V
 	err      error
 	lastUse  uint64
+	weight   int
 	finished bool
-	refs     int
-	evicted  bool
 }
 
 // Cache is a singleflight + LRU memo from K to V, safe for concurrent use.
@@ -46,115 +44,93 @@ type Cache[K comparable, V any] struct {
 	entries map[K]*entry[V]
 	seq     uint64 // recency clock
 	max     int
+	total   int // summed weight of the resident entries
+	weigh   func(V) int
 	onEvict func(V)
 }
 
-// New returns a cache of at most max entries (max ≤ 0: unbounded); when
-// every entry is in flight it overflows instead. onEvict, if non-nil,
-// gets every evicted value once, at eviction or at the last release of
-// a pin, whichever is later, on the goroutine that evicted or released.
-func New[K comparable, V any](max int, onEvict func(V)) *Cache[K, V] {
+// New returns a cache whose resident entries weigh at most max in all
+// (max ≤ 0: unbounded). weigh gives a built value's weight; nil weighs
+// every entry 1, in flight or not, so max is an entry count. With a
+// weigh function an in-flight build weighs 0 until it finishes, and a
+// finished build evicts least recently used entries until the total fits
+// again. In-flight builds and the build that just finished are never
+// evicted; when nothing else is left the cache overflows instead.
+// onEvict, if non-nil, gets every evicted value once, on the goroutine
+// that evicted it.
+func New[K comparable, V any](max int, weigh func(V) int, onEvict func(V)) *Cache[K, V] {
 	if onEvict == nil {
 		onEvict = func(V) {}
 	}
-	return &Cache[K, V]{entries: map[K]*entry[V]{}, max: max, onEvict: onEvict}
+	return &Cache[K, V]{entries: map[K]*entry[V]{}, max: max, weigh: weigh, onEvict: onEvict}
 }
 
 // Get returns the value for key, running build on a miss, and whether
 // this call built, joined or hit. If ctx ends before a joined build
 // finishes, Get returns ctx.Err().
 func (c *Cache[K, V]) Get(ctx context.Context, key K, build func() (V, error)) (v V, res Result, err error) {
-	e, res, err := c.get(ctx, key, build, false)
-	if err != nil {
-		return v, res, err
-	}
-	return e.val, res, nil
-}
-
-// Acquire is Get with a pin: onEvict does not see the value before
-// release, which must be called once when the value is no longer read
-// (on error there is nothing to release).
-func (c *Cache[K, V]) Acquire(ctx context.Context, key K, build func() (V, error)) (v V, release func(), err error) {
-	e, _, err := c.get(ctx, key, build, true)
-	if err != nil {
-		return v, nil, err
-	}
-	return e.val, func() { c.release(e) }, nil
-}
-
-func (c *Cache[K, V]) get(ctx context.Context, key K, build func() (V, error), pin bool) (*entry[V], Result, error) {
 	c.mu.Lock()
 	c.seq++
 	e, ok := c.entries[key]
-	res := Hit
+	res = Hit
 	var freed []V
 	switch {
 	case !ok:
 		res = Built
 		e = &entry[V]{done: make(chan struct{})}
-		freed = c.evictLocked()
+		if c.weigh == nil {
+			e.weight = 1
+		}
+		freed = c.evictLocked(e.weight, nil)
 		c.entries[key] = e
+		c.total += e.weight
 	case !e.finished:
 		res = Joined
 	}
 	e.lastUse = c.seq
-	if pin {
-		e.refs++
-	}
 	c.mu.Unlock()
-	for _, v := range freed {
-		c.onEvict(v)
-	}
+	c.free(freed)
 
 	switch res {
 	case Built:
-		v, err := build()
+		val, err := build()
 		c.mu.Lock()
-		e.val, e.err, e.finished = v, err, true
-		if err != nil && c.entries[key] == e {
+		e.val, e.err, e.finished = val, err, true
+		var evicted []V
+		switch {
+		case err != nil:
 			delete(c.entries, key)
+			c.total -= e.weight
+		case c.weigh != nil:
+			e.weight = c.weigh(val)
+			c.total += e.weight
+			evicted = c.evictLocked(0, e)
 		}
 		c.mu.Unlock()
 		close(e.done)
+		c.free(evicted)
 	case Joined:
 		select {
 		case <-e.done:
 		case <-ctx.Done():
-			if pin {
-				c.release(e)
-			}
-			return nil, res, ctx.Err()
+			return v, res, ctx.Err()
 		}
 	}
 	if e.err != nil {
-		if pin {
-			c.release(e)
-		}
-		return nil, res, e.err
+		return v, res, e.err
 	}
-	return e, res, nil
+	return e.val, res, nil
 }
 
-// release drops one pin; the last one frees an evicted value.
-func (c *Cache[K, V]) release(e *entry[V]) {
-	c.mu.Lock()
-	e.refs--
-	free := e.refs == 0 && e.evicted
-	c.mu.Unlock()
-	if free {
-		c.onEvict(e.val)
-	}
-}
-
-// evictLocked drops least recently used finished entries until one more
-// fits, and returns the unpinned victims' values, which the caller holding
-// c.mu hands to onEvict after unlocking.
-func (c *Cache[K, V]) evictLocked() (freed []V) {
-	for c.max > 0 && len(c.entries) >= c.max {
+// evictLocked drops least recently used finished entries other than keep
+// until need more weight fits, and returns their values, which the
+// caller holding c.mu hands to free after unlocking.
+func (c *Cache[K, V]) evictLocked(need int, keep *entry[V]) (freed []V) {
+	for c.max > 0 && c.total+need > c.max {
 		var victim K
 		var ve *entry[V]
 		for k, e := range c.entries {
-			if e.finished && (ve == nil || e.lastUse < ve.lastUse) {
+			if e.finished && e != keep && (ve == nil || e.lastUse < ve.lastUse) {
 				victim, ve = k, e
 			}
 		}
@@ -162,12 +138,17 @@ func (c *Cache[K, V]) evictLocked() (freed []V) {
 			return freed
 		}
 		delete(c.entries, victim)
-		ve.evicted = true
-		if ve.refs == 0 {
-			freed = append(freed, ve.val)
-		}
+		c.total -= ve.weight
+		freed = append(freed, ve.val)
 	}
 	return freed
+}
+
+// free hands evicted values to onEvict.
+func (c *Cache[K, V]) free(vals []V) {
+	for _, v := range vals {
+		c.onEvict(v)
+	}
 }
 
 // Lookup returns the finished value for key without building, and

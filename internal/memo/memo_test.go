@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,7 @@ func TestCache(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"singleflight under 32 goroutines", func(t *testing.T) {
-			c := New[string, int](0, nil)
+			c := New[string, int](0, nil, nil)
 			var builds atomic.Int64
 			gate := make(chan struct{})
 			var ready, done sync.WaitGroup
@@ -88,7 +89,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"results: built, hit, joined", func(t *testing.T) {
-			c := New[string, int](0, nil)
+			c := New[string, int](0, nil, nil)
 			if _, res, _ := c.Get(ctx, "a", value(1)); res != Built {
 				t.Errorf("first Get = %v, want Built", res)
 			}
@@ -112,7 +113,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"failed build not cached, error reaches joined waiters", func(t *testing.T) {
-			c := New[string, int](0, nil)
+			c := New[string, int](0, nil, nil)
 			boom := errors.New("boom")
 			gate := make(chan struct{})
 			running := make(chan struct{})
@@ -145,7 +146,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"canceled waiter returns, build goes on", func(t *testing.T) {
-			c := New[string, int](0, nil)
+			c := New[string, int](0, nil, nil)
 			gate := make(chan struct{})
 			builder := blocked(c, "k", 9, gate)
 			cctx, cancel := context.WithCancel(ctx)
@@ -169,7 +170,7 @@ func TestCache(t *testing.T) {
 		}},
 		{"LRU evicts the least recently used", func(t *testing.T) {
 			var evicted []int
-			c := New[string, int](2, func(v int) { evicted = append(evicted, v) })
+			c := New[string, int](2, nil, func(v int) { evicted = append(evicted, v) })
 			c.Get(ctx, "a", value(1))
 			c.Get(ctx, "b", value(2))
 			c.Lookup("a") // b is now the LRU entry
@@ -182,7 +183,7 @@ func TestCache(t *testing.T) {
 			}
 		}},
 		{"in-flight builds are never evicted", func(t *testing.T) {
-			c := New[string, int](2, nil)
+			c := New[string, int](2, nil, nil)
 			gate := make(chan struct{})
 			a := blocked(c, "a", 1, gate)
 			b := blocked(c, "b", 2, gate)
@@ -198,43 +199,53 @@ func TestCache(t *testing.T) {
 				t.Errorf("after builds finished: len %d", c.Len())
 			}
 		}},
-		{"onEvict only after the last release", func(t *testing.T) {
+		{"weights bound the total, not the count", func(t *testing.T) {
 			var evicted []int
-			c := New[string, int](1, func(v int) { evicted = append(evicted, v) })
-			v, release1, err := c.Acquire(ctx, "a", value(1))
-			if err != nil || v != 1 {
-				t.Fatalf("Acquire = %d, %v", v, err)
+			c := New[string, int](10, func(v int) int { return v }, func(v int) { evicted = append(evicted, v) })
+			c.Get(ctx, "a", value(4))
+			c.Get(ctx, "b", value(5))
+			c.Get(ctx, "c", value(3)) // 12 > 10: a, the LRU entry, goes
+			if c.Has("a") || !c.Has("b") || !c.Has("c") {
+				t.Errorf("after c: a %v b %v c %v", c.Has("a"), c.Has("b"), c.Has("c"))
 			}
-			_, release2, _ := c.Acquire(ctx, "a", value(0))
-			c.Get(ctx, "b", value(2)) // evicts a, still pinned twice
-			if c.Has("a") || len(evicted) != 0 {
-				t.Fatalf("a resident %v, evicted %v; want evicted from the map, not yet freed", c.Has("a"), evicted)
+			// An entry heavier than the whole budget evicts everything else
+			// and stays: the build that just finished is never the victim.
+			c.Get(ctx, "d", value(20))
+			if c.Len() != 1 || !c.Has("d") {
+				t.Errorf("after d: len %d, d resident %v", c.Len(), c.Has("d"))
 			}
-			release1()
-			if len(evicted) != 0 {
-				t.Fatalf("onEvict ran with a pin outstanding: %v", evicted)
+			// The next insertion shrinks the overflowing cache back.
+			c.Get(ctx, "e", value(1))
+			if c.Has("d") || !c.Has("e") || c.total != 1 {
+				t.Errorf("after e: d %v e %v total %d", c.Has("d"), c.Has("e"), c.total)
 			}
-			release2()
-			if len(evicted) != 1 || evicted[0] != 1 {
-				t.Errorf("onEvict saw %v, want [1]", evicted)
+			if want := []int{4, 5, 3, 20}; !slices.Equal(evicted, want) {
+				t.Errorf("onEvict saw %v, want %v", evicted, want)
+			}
+		}},
+		{"weighted in-flight builds count only once finished", func(t *testing.T) {
+			c := New[string, int](2, func(v int) int { return v }, nil)
+			gate := make(chan struct{})
+			a := blocked(c, "a", 1, gate)
+			b := blocked(c, "b", 1, gate)
+			c.Get(ctx, "c", value(3)) // over budget, but a and b are in flight
+			if c.Len() != 3 || !c.Has("a") || !c.Has("b") || !c.Has("c") {
+				t.Errorf("in-flight entry evicted: len %d", c.Len())
+			}
+			close(gate)
+			<-a
+			<-b
+			// The first finished build pushes the total to 4 and evicts c.
+			if c.Len() != 2 || c.Has("c") || c.total != 2 {
+				t.Errorf("after builds finished: len %d, c %v, total %d", c.Len(), c.Has("c"), c.total)
 			}
 		}},
 		{"Lookup does not allocate", func(t *testing.T) {
 			// The service's offsets hot path runs a Lookup per request.
-			c := New[string, int](0, nil)
+			c := New[string, int](0, nil, nil)
 			c.Get(ctx, "k", value(1))
 			if n := testing.AllocsPerRun(100, func() { c.Lookup("k") }); n != 0 {
 				t.Errorf("Lookup allocates %v times per call", n)
-			}
-		}},
-		{"unpinned eviction frees at once", func(t *testing.T) {
-			var evicted []int
-			c := New[string, int](1, func(v int) { evicted = append(evicted, v) })
-			_, release, _ := c.Acquire(ctx, "a", value(1))
-			release()
-			c.Get(ctx, "b", value(2))
-			if len(evicted) != 1 || evicted[0] != 1 {
-				t.Errorf("onEvict saw %v, want [1]", evicted)
 			}
 		}},
 	}

@@ -105,7 +105,7 @@ func newClusterNode(cfg ClusterConfig, maxRecs int, met *metrics) (*clusterNode,
 		peers:    map[string]*peerConn{},
 		loads:    cluster.NewTable(),
 		met:      met,
-		replicas: memo.New[string, api.LayoutRecord](maxRecs, nil),
+		replicas: memo.New[string, api.LayoutRecord](maxRecs, nil, nil),
 		stop:     make(chan struct{}),
 	}
 	for _, n := range cfg.Roster {

@@ -145,7 +145,7 @@ func New(cfg Config) (*Server, error) {
 	s.chaos = newChaos(cfg.ChaosSeed, cfg.ChaosIntensity, s.met)
 	s.breaker = newAdmissionBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, s.met)
 	s.retry = newRetryBudget(cfg.RetryBudget)
-	s.cache = memo.New[string, *compiled](cfg.CacheEntries, func(*compiled) { s.met.inc(mCompileEvictions) })
+	s.cache = memo.New[string, *compiled](cfg.CacheEntries, nil, func(*compiled) { s.met.inc(mCompileEvictions) })
 	if cfg.RecordPath != "" {
 		rec, err := workload.NewTraceWriter(cfg.RecordPath)
 		if err != nil {

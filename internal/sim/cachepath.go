@@ -6,10 +6,9 @@ import (
 )
 
 // serve routes one block request issued by thread t at the given virtual
-// time (ns) and returns its latency in nanoseconds. Run entries are served
-// block by block from the scheduler loop; striping sends consecutive
-// blocks of a run to different storage nodes, so there is no cross-block
-// cache transaction to batch below this level.
+// time (ns) and returns its latency in nanoseconds. Striping sends
+// consecutive blocks to different storage nodes, so there is no
+// cross-block cache transaction to batch below this level.
 func (m *Machine) serve(now int64, t int, file int32, block int64, elems int32) int64 {
 	if m.faults != nil {
 		return m.serveFaulty(now, t, file, block, elems)

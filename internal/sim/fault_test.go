@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"flopt/internal/fault"
+	"flopt/internal/layout"
 	"flopt/internal/storage/cache"
 	"flopt/internal/trace"
 )
@@ -35,78 +36,90 @@ func reportsEqual(a, b *Report) bool {
 	return true
 }
 
-// expandTraces splits every compressed run entry into per-block accesses —
-// the exact streams the per-element walker would have produced.
-func expandTraces(traces []*trace.NestTrace) []*trace.NestTrace {
-	out := make([]*trace.NestTrace, len(traces))
-	for ni, nt := range traces {
-		e := &trace.NestTrace{Streams: make([][]trace.Access, len(nt.Streams))}
-		for th, s := range nt.Streams {
-			e.Streams[th] = trace.ExpandStream(s)
-		}
-		out[ni] = e
-	}
-	return out
-}
+// walkOnly hides a layout's Strider capability, forcing the trace
+// generator onto its per-element walker.
+type walkOnly struct{ layout.Layout }
 
-// TestRunCompressedSimulationIdentical is the end-to-end identity gate for
-// run compression: simulating the compressed streams must replay
-// bit-identically to simulating their expanded (walker-equivalent) form,
-// for every cache policy, with and without fault injection, on both the
-// default and the optimized layout.
-func TestRunCompressedSimulationIdentical(t *testing.T) {
-	// Nest 1 (single-ref row scan) produces runs under the default layout;
-	// nest 2 (two interleaved refs) exercises the grouped multi-ref
-	// emitter; nest 3 (column scan) produces runs once the layout is
-	// optimized.
-	const runScan = `
+// TestSpanEmitterSimulationIdentical is the end-to-end identity gate for
+// the closed-form span emitter: its streams must equal the per-element
+// walker's entry for entry, and so must the reports simulated from them,
+// for every cache policy, healthy, under two fault seeds and with
+// readahead, on both the default and the optimized layout.
+func TestSpanEmitterSimulationIdentical(t *testing.T) {
+	// Nest 1 is a single-ref row scan; nest 2 (two interleaved refs)
+	// exercises the grouped multi-ref emitter; nest 3 is a column scan,
+	// contiguous once the layout is optimized.
+	const scans = `
 array A[64][64];
 array B[64][64];
 parallel(i) for i = 0 to 63 { for j = 0 to 63 { read A[i][j]; } }
 parallel(i) for i = 0 to 63 { for j = 0 to 63 { read A[i][j]; read B[i][j]; } }
 parallel(i) for i = 0 to 63 { for j = 0 to 63 { read B[j][i]; } }
 `
+	variants := []struct {
+		name      string
+		faults    float64
+		seed      int64
+		readahead int
+	}{
+		{name: "healthy"},
+		{name: "faults-seed42", faults: 0.6, seed: 42},
+		{name: "faults-seed7", faults: 0.35, seed: 7},
+		{name: "readahead", readahead: 2},
+	}
 	for _, optimized := range []bool{false, true} {
 		base := smallConfig()
-		ft, traces := buildTraces(t, runScan, base, optimized)
-		expanded := expandTraces(traces)
-		compressedSomething := false
-		for ni := range traces {
-			for th := range traces[ni].Streams {
-				if len(traces[ni].Streams[th]) < len(expanded[ni].Streams[th]) {
-					compressedSomething = true
-				}
+		p, plans, layouts := buildProgram(t, scans, base, optimized)
+		walked := make(map[string]layout.Layout, len(layouts))
+		for name, l := range layouts {
+			if _, ok := l.(layout.Strider); !ok {
+				t.Fatalf("optimized=%v: layout of %s is not strideable; the test is vacuous", optimized, name)
 			}
+			walked[name] = walkOnly{l}
 		}
-		if !compressedSomething {
-			t.Fatalf("optimized=%v: no stream contains a run; identity test is vacuous", optimized)
+		ft, err := trace.NewFileTable(p, layouts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, policy := range []string{"lru", "demote", "karma", "mq"} {
-			for _, fc := range []struct {
-				intensity float64
-				seed      int64
-			}{{0, 0}, {0.8, 12345}, {1, 99}} {
-				cfg := faultConfig(fc.intensity, fc.seed)
+		ftWalk, err := trace.NewFileTable(p, walked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans, err := trace.Generate(p, plans, ft, base.BlockElems, base.Threads())
+		if err != nil {
+			t.Fatal(err)
+		}
+		walks, err := trace.Generate(p, plans, ftWalk, base.BlockElems, base.Threads())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spans, walks) {
+			t.Fatalf("optimized=%v: span emitter streams differ from the walker's", optimized)
+		}
+		for _, policy := range cache.Names() {
+			for _, v := range variants {
+				cfg := faultConfig(v.faults, v.seed)
 				cfg.Policy = policy
-				var hints, hintsExp []cache.RangeHint
+				cfg.ReadaheadBlocks = v.readahead
+				var hints, hintsWalk []cache.RangeHint
 				if policy == "karma" {
-					hints = GenerateHints(cfg, ft, traces)
-					hintsExp = GenerateHints(cfg, ft, expanded)
-					if !reflect.DeepEqual(hints, hintsExp) {
-						t.Fatalf("%s f=%.1f: hints differ between compressed and expanded traces", policy, fc.intensity)
+					hints = GenerateHints(cfg, ft, spans)
+					hintsWalk = GenerateHints(cfg, ftWalk, walks)
+					if !reflect.DeepEqual(hints, hintsWalk) {
+						t.Fatalf("optimized=%v %s: hints differ between emitter and walker traces", optimized, v.name)
 					}
 				}
-				r1, err := Simulate(cfg, traces, hints)
+				r1, err := Simulate(cfg, spans, hints)
 				if err != nil {
-					t.Fatalf("%s f=%.1f compressed: %v", policy, fc.intensity, err)
+					t.Fatalf("%s/%s emitter: %v", policy, v.name, err)
 				}
-				r2, err := Simulate(cfg, expanded, hintsExp)
+				r2, err := Simulate(cfg, walks, hintsWalk)
 				if err != nil {
-					t.Fatalf("%s f=%.1f expanded: %v", policy, fc.intensity, err)
+					t.Fatalf("%s/%s walker: %v", policy, v.name, err)
 				}
 				if !reportsEqual(r1, r2) {
-					t.Errorf("optimized=%v policy=%s f=%.1f seed=%d: compressed and expanded runs diverge:\n%+v\n%+v",
-						optimized, policy, fc.intensity, fc.seed, r1, r2)
+					t.Errorf("optimized=%v %s/%s: emitter and walker runs diverge:\n%+v\n%+v",
+						optimized, policy, v.name, r1, r2)
 				}
 			}
 		}

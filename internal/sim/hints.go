@@ -42,21 +42,7 @@ func GenerateHints(cfg Config, ft *trace.FileTable, traces []*trace.NestTrace) [
 		for t, stream := range nt.Streams {
 			io := cfg.IONodeOf(t)
 			for _, acc := range stream {
-				// Count every block of a compressed run. A run may cross
-				// range boundaries, so split it into per-range pieces and
-				// add each piece's block count in one step.
-				w := width[acc.File]
-				fr := freq[acc.File]
-				b, last := acc.Block, acc.Block+int64(acc.Run)
-				for b <= last {
-					r := b / w
-					end := (r + 1) * w // first block of the next range
-					if end > last+1 {
-						end = last + 1
-					}
-					fr[r][io] += float64(end - b)
-					b = end
-				}
+				freq[acc.File][int64(acc.Block)/width[acc.File]][io]++
 			}
 		}
 	}

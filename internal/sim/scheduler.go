@@ -103,11 +103,10 @@ const ctxCheckEvery = 8192
 func (m *Machine) RunContext(ctx context.Context, traces []*trace.NestTrace) (*Report, error) {
 	threads := m.cfg.Threads()
 	clock := make([]int64, threads) // ns
-	// pos/sub and the heap's id slice are reused across nests (hot-path
+	// pos and the heap's id slice are reused across nests (hot-path
 	// allocation trim: one allocation each per Run, not per nest). pos[t]
-	// indexes thread t's stream entry, sub[t] the block within its run.
+	// indexes thread t's next stream entry.
 	pos := make([]int, threads)
-	sub := make([]int32, threads)
 	keys := make([]int64, 0, threads)
 	var accesses int64
 
@@ -146,15 +145,13 @@ func (m *Machine) RunContext(ctx context.Context, traces []*trace.NestTrace) (*R
 		for t := 0; t < threads; t++ {
 			clock[t] = barrier
 			pos[t] = 0
-			sub[t] = 0
 			if len(nt.Streams[t]) > 0 {
 				h.keys = append(h.keys, barrier<<idBits|int64(t))
 			}
 		}
 		h.init()
 		// Scheduler with root batching: the root thread keeps serving
-		// blocks — walking run entries block by block — for as long as its
-		// packed key stays at or below the smaller of its heap children,
+		// entries for as long as its packed key stays at or below the smaller of its heap children,
 		// which is exactly the condition under which a per-block heap fix
 		// would have left it at the root. Interleaving, stats and clocks are
 		// therefore identical to serving one block per heap operation.
@@ -162,11 +159,11 @@ func (m *Machine) RunContext(ctx context.Context, traces []*trace.NestTrace) (*R
 			t := int(h.keys[0] & idMask)
 			lim := h.limit()
 			stream := nt.Streams[t]
-			p, s := pos[t], sub[t]
+			p := pos[t]
 			c := clock[t]
 			for {
 				a := stream[p]
-				c += m.serve(c, t, a.File, a.Block+int64(s), a.Elems)
+				c += m.serve(c, t, int32(a.File), int64(a.Block), a.Elems)
 				accesses++
 				if accesses&(ctxCheckEvery-1) == 0 {
 					if err := ctx.Err(); err != nil {
@@ -176,24 +173,20 @@ func (m *Machine) RunContext(ctx context.Context, traces []*trace.NestTrace) (*R
 				if m.obsOn && accesses&(evictionSampleEvery-1) == 0 {
 					m.sampleEvictions(c)
 				}
-				s++
-				if s > a.Run {
-					s = 0
-					p++
-					if p >= len(stream) {
-						if c >= maxClock {
-							return nil, fmt.Errorf("sim: virtual clock %d ns overflows the scheduler key space", c)
-						}
-						clock[t], pos[t], sub[t] = c, p, s
-						h.pop()
-						break
+				p++
+				if p >= len(stream) {
+					if c >= maxClock {
+						return nil, fmt.Errorf("sim: virtual clock %d ns overflows the scheduler key space", c)
 					}
+					clock[t], pos[t] = c, p
+					h.pop()
+					break
 				}
 				if key := c<<idBits | int64(t); key > lim {
 					if c >= maxClock {
 						return nil, fmt.Errorf("sim: virtual clock %d ns overflows the scheduler key space", c)
 					}
-					clock[t], pos[t], sub[t] = c, p, s
+					clock[t], pos[t] = c, p
 					h.keys[0] = key
 					h.fix()
 					break

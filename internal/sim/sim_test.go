@@ -29,6 +29,22 @@ func smallConfig() Config {
 
 func buildTraces(t *testing.T, src string, cfg Config, optimized bool) (*trace.FileTable, []*trace.NestTrace) {
 	t.Helper()
+	p, plans, layouts := buildProgram(t, src, cfg, optimized)
+	ft, err := trace.NewFileTable(p, layouts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := trace.Generate(p, plans, ft, cfg.BlockElems, cfg.Threads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ft, traces
+}
+
+// buildProgram parses src and picks its plans and layouts: the default
+// ones, or the optimizer's for cfg's hierarchy.
+func buildProgram(t *testing.T, src string, cfg Config, optimized bool) (*poly.Program, map[*poly.LoopNest]*parallel.Plan, map[string]layout.Layout) {
+	t.Helper()
 	p, err := lang.Parse("t", src)
 	if err != nil {
 		t.Fatal(err)
@@ -56,15 +72,7 @@ func buildTraces(t *testing.T, src string, cfg Config, optimized bool) (*trace.F
 			plans[n] = plan
 		}
 	}
-	ft, err := trace.NewFileTable(p, layouts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces, err := trace.Generate(p, plans, ft, cfg.BlockElems, cfg.Threads())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ft, traces
+	return p, plans, layouts
 }
 
 const colScan = `
@@ -337,7 +345,7 @@ func TestReadaheadArmsOnStreams(t *testing.T) {
 	// A single-thread sequential scan: blocks 0,1,2,… of one file. The
 	// second consecutive miss arms readahead.
 	nt := &trace.NestTrace{Streams: make([][]trace.Access, cfg.Threads())}
-	for b := int64(0); b < 32; b++ {
+	for b := uint32(0); b < 32; b++ {
 		nt.Streams[0] = append(nt.Streams[0], trace.Access{File: 0, Block: b, Elems: 1})
 	}
 	m, err := NewMachine(cfg, nil)
@@ -525,12 +533,16 @@ func (c *accessCounter) Event(obs.Event)                          {}
 // daemon's drain aborts rest on this bound.
 func TestRunContextAbortBound(t *testing.T) {
 	cfg := smallConfig()
-	// One sequential run of 4·ctxCheckEvery blocks per thread, each thread
+	// A sequential scan of 4·ctxCheckEvery blocks per thread, each thread
 	// on its own block range.
 	const perThread = 4 * ctxCheckEvery
 	nt := &trace.NestTrace{Streams: make([][]trace.Access, cfg.Threads())}
 	for th := range nt.Streams {
-		nt.Streams[th] = []trace.Access{{File: 0, Block: int64(th) * perThread, Elems: 1, Run: perThread - 1}}
+		s := make([]trace.Access, perThread)
+		for i := range s {
+			s[i] = trace.Access{Block: uint32(th*perThread + i), Elems: 1}
+		}
+		nt.Streams[th] = s
 	}
 	m, err := NewMachine(cfg, nil)
 	if err != nil {

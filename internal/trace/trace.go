@@ -6,6 +6,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -16,21 +17,21 @@ import (
 	"flopt/internal/poly"
 )
 
-// Access is one block-granular read/write request. Elems counts how many
-// element touches were coalesced into it — the simulator charges
-// element-proportional compute cost from it, keeping CPU time independent
-// of the file layout.
+// Access is one block-granular read/write request: 12 bytes, one entry
+// per block transaction. Elems counts how many element touches were
+// coalesced into it — the simulator charges element-proportional compute
+// cost from it, keeping CPU time independent of the file layout. File
+// and Block are narrowed to the ranges generation checks (at most
+// math.MaxUint16 arrays, fewer than 2^32 blocks per file).
 //
-// Run compresses a maximal sequence of consecutive-block requests with
-// uniform Elems: the entry stands for the Run+1 blocks Block, Block+1, …,
-// Block+Run, each touched Elems times, in increasing order. Run = 0 (the
-// zero value) is a plain single-block request, so uncompressed streams
-// remain valid. ExpandStream recovers the one-entry-per-block form.
+// Run is always 0: every entry stands for exactly one block. It remains
+// only so that readers written against the former run-compressed form,
+// which counted Run+1 blocks per entry, still compile and count right.
 type Access struct {
-	File  int32
-	Block int64
+	Block uint32
+	File  uint16
+	Run   uint16
 	Elems int32
-	Run   int32
 }
 
 // FileTable assigns stable small integer ids to the program's arrays (one
@@ -82,15 +83,11 @@ type NestTrace struct {
 	Streams [][]Access
 }
 
-// TotalAccesses counts the block transactions across all streams, i.e.
-// the run-expanded length: a compressed entry contributes Run+1.
+// TotalAccesses counts the block transactions across all streams.
 func (nt *NestTrace) TotalAccesses() int64 {
 	var n int64
 	for _, s := range nt.Streams {
 		n += int64(len(s))
-		for _, a := range s {
-			n += int64(a.Run)
-		}
 	}
 	return n
 }
@@ -101,7 +98,7 @@ func (nt *NestTrace) TotalElems() int64 {
 	var n int64
 	for _, s := range nt.Streams {
 		for _, a := range s {
-			n += int64(a.Elems) * int64(a.Run+1)
+			n += int64(a.Elems)
 		}
 	}
 	return n
@@ -113,7 +110,7 @@ func (nt *NestTrace) TotalElems() int64 {
 // workers start when every reference of the nest supports it.
 type refInfo struct {
 	ref  *poly.Reference
-	file int32
+	file uint16
 	lay  layout.Layout
 
 	strider layout.Strider
@@ -134,31 +131,46 @@ func Generate(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
 // its own subset of threads independently — streams are per-thread, so the
 // partition is race-free by construction and the output is bit-identical
 // for every worker count.
+//
+// Each stream grows in a scratch buffer drawn from a package-wide pool
+// and is copied out at the nest's end at its exact length (len == cap),
+// so the returned traces hold no growth slack and the scratch memory is
+// reused by the next nest or generation.
 func GenerateWorkers(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
 	ft *FileTable, blockElems int64, threads, workers int) ([]*NestTrace, error) {
-	return generateWorkers(p, plans, ft, blockElems, threads, workers, nil, false)
+	return generateWorkers(p, plans, ft, blockElems, threads, workers, false)
 }
 
-// GenerateWorkersPool is GenerateWorkers with stream buffers drawn from
-// pool. The caller owns the returned traces; recycling them with pool.Put
-// once no reader holds them lets repeated generations (e.g. experiment
-// cells) reuse the large per-thread allocations.
-func GenerateWorkersPool(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
-	ft *FileTable, blockElems int64, threads, workers int, pool *BufferPool) ([]*NestTrace, error) {
-	return generateWorkers(p, plans, ft, blockElems, threads, workers, pool, false)
+// scratch pools the per-thread stream buffers generation appends into.
+var scratch = sync.Pool{New: func() any { return new([]Access) }}
+
+// checkRanges rejects file tables whose ids or block indices do not fit
+// Access's narrowed File and Block fields.
+func checkRanges(ft *FileTable, blockElems int64) error {
+	if len(ft.Names) > math.MaxUint16 {
+		return fmt.Errorf("trace: %d arrays exceed the limit of %d", len(ft.Names), math.MaxUint16)
+	}
+	for id, name := range ft.Names {
+		if n := ft.Blocks(int32(id), blockElems); n > math.MaxUint32 {
+			return fmt.Errorf("trace: array %s spans %d blocks of %d elements; at most %d fit a trace entry",
+				name, n, blockElems, int64(math.MaxUint32))
+		}
+	}
+	return nil
 }
 
 // generateWorkers is the shared implementation. forceWalk disables the
 // closed-form span emitter so tests can compare it against the per-element
 // walker; the two paths produce bit-identical streams by construction.
 func generateWorkers(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
-	ft *FileTable, blockElems int64, threads, workers int, pool *BufferPool, forceWalk bool) ([]*NestTrace, error) {
+	ft *FileTable, blockElems int64, threads, workers int, forceWalk bool) ([]*NestTrace, error) {
 	if blockElems < 1 {
 		return nil, fmt.Errorf("trace: blockElems must be ≥ 1")
 	}
-	if workers < 1 {
-		workers = 1
+	if err := checkRanges(ft, blockElems); err != nil {
+		return nil, err
 	}
+	shards := max(min(workers, threads), 1)
 	out := make([]*NestTrace, 0, len(p.Nests))
 	for ni, n := range p.Nests {
 		plan := plans[n]
@@ -169,57 +181,33 @@ func generateWorkers(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
 		infos := make([]refInfo, len(n.Refs))
 		for ri, r := range n.Refs {
 			id := ft.ID(r.Array.Name)
-			infos[ri] = refInfo{ref: r, file: id, lay: ft.Layouts[id]}
+			infos[ri] = refInfo{ref: r, file: uint16(id), lay: ft.Layouts[id]}
 		}
 		canStride := !forceWalk && prepStride(n, plan, infos)
-		// Preallocate each thread's stream from a TotalElems-based
-		// estimate: the element-touch count is trip·refs, split across
-		// threads; coalescing shrinks it further, so a quarter of the
-		// upper bound avoids most growth reallocations without
-		// overcommitting memory on scattered access patterns.
-		est := n.TripCount() * int64(len(n.Refs)) / int64(threads) / 4
-		if est < 16 {
-			est = 16
-		}
-		if est > 1<<20 {
-			est = 1 << 20
-		}
-
-		shards := workers
-		if shards > threads {
-			shards = threads
-		}
-		if shards <= 1 {
-			g := &shardGen{
-				nest: n, ni: ni, plan: plan, infos: infos, streams: nt.Streams,
-				blockElems: blockElems, shard: 0, shards: 1, prealloc: int(est),
-				canStride: canStride, pool: pool,
+		bufs := make([]*[]Access, threads)
+		gens := make([]*shardGen, shards)
+		for w := range gens {
+			gens[w] = &shardGen{
+				nest: n, ni: ni, plan: plan, infos: infos, streams: nt.Streams, bufs: bufs,
+				blockElems: blockElems, shard: w, shards: shards, canStride: canStride,
 			}
-			g.run()
-			if g.err != nil {
-				return nil, g.err
-			}
+		}
+		if shards == 1 {
+			gens[0].run()
 		} else {
-			gens := make([]*shardGen, shards)
 			var wg sync.WaitGroup
-			wg.Add(shards)
-			for w := 0; w < shards; w++ {
-				g := &shardGen{
-					nest: n, ni: ni, plan: plan, infos: infos, streams: nt.Streams,
-					blockElems: blockElems, shard: w, shards: shards, prealloc: int(est),
-					canStride: canStride, pool: pool,
-				}
-				gens[w] = g
+			for _, g := range gens {
+				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					g.run()
 				}()
 			}
 			wg.Wait()
-			for _, g := range gens {
-				if g.err != nil {
-					return nil, g.err
-				}
+		}
+		for _, g := range gens {
+			if g.err != nil {
+				return nil, g.err
 			}
 		}
 		out = append(out, nt)
@@ -228,22 +216,22 @@ func generateWorkers(p *poly.Program, plans map[*poly.LoopNest]*parallel.Plan,
 }
 
 // shardGen walks the iteration space of one nest restricted to the threads
-// t with t ≡ shard (mod shards) and appends their accesses to streams[t].
-// Each thread's stream is written by exactly one shard, and within a shard
-// iterations are visited in lexicographic order, so the per-thread
-// subsequences match the serial generation exactly.
+// t with t ≡ shard (mod shards) and appends their accesses to the scratch
+// buffers bufs[t], which finish copies out into streams[t]. Each thread's
+// stream is written by exactly one shard, and within a shard iterations
+// are visited in lexicographic order, so the per-thread subsequences
+// match the serial generation exactly.
 type shardGen struct {
 	nest       *poly.LoopNest
 	ni         int
 	plan       *parallel.Plan
 	infos      []refInfo
 	streams    [][]Access
+	bufs       []*[]Access
 	blockElems int64
 	shard      int
 	shards     int
-	prealloc   int
 	canStride  bool
-	pool       *BufferPool
 	dsts       []linalg.Vec
 	segs       [][]layout.Seg
 	curs       []refCursor
@@ -253,6 +241,7 @@ type shardGen struct {
 }
 
 func (g *shardGen) run() {
+	defer g.finish()
 	// A panic inside a shard goroutine (e.g. an iteration value outside
 	// the plan's rectangular bounds) would kill the whole process;
 	// surface it as a generation error instead.
@@ -273,6 +262,35 @@ func (g *shardGen) run() {
 	}
 	iv := make(linalg.Vec, g.nest.Depth())
 	g.walk(0, iv)
+}
+
+// buf returns thread th's scratch buffer, drawing one from the pool on
+// the thread's first access in this nest.
+func (g *shardGen) buf(th int) *[]Access {
+	b := g.bufs[th]
+	if b == nil {
+		b = scratch.Get().(*[]Access)
+		g.bufs[th] = b
+	}
+	return b
+}
+
+// finish copies each of the shard's streams out of its scratch buffer at
+// exact length and returns the buffers to the pool. After a failure the
+// streams are discarded, so only the buffers go back.
+func (g *shardGen) finish() {
+	for th := g.shard; th < len(g.bufs); th += g.shards {
+		b := g.bufs[th]
+		if b == nil {
+			continue
+		}
+		if s := *b; g.err == nil && len(s) > 0 {
+			g.streams[th] = make([]Access, len(s))
+			copy(g.streams[th], s)
+		}
+		*b = (*b)[:0]
+		scratch.Put(b)
+	}
 }
 
 func (g *shardGen) walk(depth int, iv linalg.Vec) {
@@ -312,8 +330,8 @@ func (g *shardGen) walk(depth int, iv linalg.Vec) {
 }
 
 func (g *shardGen) emit(iv linalg.Vec) {
-	th := g.plan.ThreadOf(iv[g.plan.U])
-	stream := g.streams[th]
+	b := g.buf(g.plan.ThreadOf(iv[g.plan.U]))
+	stream := *b
 	for ri := range g.infos {
 		inf := &g.infos[ri]
 		dst := g.dsts[ri]
@@ -323,15 +341,7 @@ func (g *shardGen) emit(iv linalg.Vec) {
 				g.ni, inf.ref, dst, inf.ref.Array.Dims, iv)
 			return
 		}
-		blk := inf.lay.Offset(dst) / g.blockElems
-		if ln := len(stream); ln > 0 && stream[ln-1].File == inf.file && stream[ln-1].Block == blk {
-			stream[ln-1].Elems++ // coalesce consecutive same-block accesses
-			continue
-		}
-		if stream == nil {
-			stream = g.newStream()
-		}
-		stream = append(stream, Access{File: inf.file, Block: blk, Elems: 1})
+		stream = push(stream, inf.file, uint32(inf.lay.Offset(dst)/g.blockElems), 1)
 	}
-	g.streams[th] = stream
+	*b = stream
 }

@@ -1,8 +1,13 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"flopt/internal/lang"
 	"flopt/internal/layout"
@@ -47,22 +52,18 @@ func TestGenerateRowMajorCoalesces(t *testing.T) {
 	}
 	nt := traces[0]
 	// Each thread reads 4 rows of 16 elements = 64 elements = 8 blocks
-	// after coalescing (block = 8 elements, rows are contiguous) — and the
-	// 8 consecutive blocks compress into a single run entry.
+	// after coalescing (block = 8 elements, rows are contiguous).
 	for th, s := range nt.Streams {
-		if got := len(ExpandStream(s)); got != 8 {
-			t.Errorf("thread %d expanded stream length = %d, want 8", th, got)
-		}
-		if len(s) != 1 {
-			t.Errorf("thread %d compressed stream length = %d, want 1 run entry", th, len(s))
+		if len(s) != 8 {
+			t.Errorf("thread %d stream length = %d, want 8", th, len(s))
 		}
 	}
 	if nt.TotalAccesses() != 32 {
 		t.Errorf("total = %d, want 32", nt.TotalAccesses())
 	}
 	// Thread 1 owns rows 4..7 ⇒ blocks 8..15 of file 0.
-	want := int64(8)
-	for _, a := range ExpandStream(nt.Streams[1]) {
+	want := uint32(8)
+	for _, a := range nt.Streams[1] {
 		if a.File != 0 || a.Block != want {
 			t.Errorf("thread 1 access = %+v, want block %d", a, want)
 		}
@@ -107,7 +108,7 @@ parallel(i) for i = 0 to 3 { for j = 0 to 3 { read A[i][j]; write B[i][j]; } }
 		t.Fatalf("stream = %v", s[:2])
 	}
 	aID, bID := ft.ID("A"), ft.ID("B")
-	if s[0].File != aID || s[1].File != bID {
+	if int32(s[0].File) != aID || int32(s[1].File) != bID {
 		t.Errorf("first accesses = %+v, %+v", s[0], s[1])
 	}
 }
@@ -140,8 +141,8 @@ parallel(i) for i = 0 to 31 { for j = 0 to 31 { read B[j][i]; } }
 	// Optimized layout makes each thread's column sweep contiguous:
 	// 8 columns × 32 rows = 256 elements = 32 blocks per thread.
 	for th, s := range traces[0].Streams {
-		if got := len(ExpandStream(s)); got != 32 {
-			t.Errorf("thread %d accesses = %d, want 32", th, got)
+		if len(s) != 32 {
+			t.Errorf("thread %d accesses = %d, want 32", th, len(s))
 		}
 	}
 }
@@ -199,18 +200,15 @@ parallel(j) for i = 0 to 31 { for j = 0 to 31 { read B[i][j]; } }
 					t.Errorf("blk=%d workers=%d nest %d: streams differ from serial generation", blockElems, workers, ni)
 				}
 			}
-			// The per-element walker must agree with the compressed fast path
-			// after run expansion, at every block size and worker count.
-			walked, err := generateWorkers(p, plans, ft, blockElems, 8, workers, nil, true)
+			// The per-element walker must agree with the span emitter at
+			// every block size and worker count.
+			walked, err := generateWorkers(p, plans, ft, blockElems, 8, workers, true)
 			if err != nil {
 				t.Fatalf("blk=%d workers=%d walker: %v", blockElems, workers, err)
 			}
 			for ni := range ref {
-				for th := range ref[ni].Streams {
-					if !reflect.DeepEqual(ExpandStream(ref[ni].Streams[th]), walked[ni].Streams[th]) {
-						t.Errorf("blk=%d workers=%d nest %d thread %d: expanded fast path differs from walker",
-							blockElems, workers, ni, th)
-					}
+				if !reflect.DeepEqual(ref[ni].Streams, walked[ni].Streams) {
+					t.Errorf("blk=%d workers=%d nest %d: span emitter differs from walker", blockElems, workers, ni)
 				}
 			}
 		}
@@ -289,7 +287,7 @@ parallel(i) for i = 0 to 3 {
 			if a.Elems < 1 {
 				t.Fatalf("access with Elems = %d", a.Elems)
 			}
-			elems += int64(a.Elems) * int64(a.Run+1)
+			elems += int64(a.Elems)
 		}
 	}
 	// Total element touches = 4×16 = 64 regardless of coalescing.
@@ -300,20 +298,104 @@ parallel(i) for i = 0 to 3 {
 		t.Errorf("TotalElems = %d", nt.TotalElems())
 	}
 	// Row scan with 8-element blocks: 16 elements per row = 2 blocks,
-	// so each thread's 2 rows expand to 4 accesses of 8 coalesced elements
-	// — compressed into one 4-block run entry.
+	// so each thread's 2 rows are 4 accesses of 8 coalesced elements.
 	for th, s := range nt.Streams {
-		if len(s) != 1 {
-			t.Errorf("thread %d compressed accesses = %d, want 1", th, len(s))
+		if len(s) != 4 {
+			t.Errorf("thread %d accesses = %d, want 4", th, len(s))
 		}
-		ex := ExpandStream(s)
-		if len(ex) != 4 {
-			t.Errorf("thread %d accesses = %d, want 4", th, len(ex))
-		}
-		for _, a := range ex {
+		for _, a := range s {
 			if a.Elems != 8 {
 				t.Errorf("thread %d access elems = %d, want 8", th, a.Elems)
 			}
 		}
+	}
+}
+
+// TestAccessSize pins the 12-byte trace entry: streams dominate the
+// harness's memory, so a field that widens it shows up here first.
+func TestAccessSize(t *testing.T) {
+	if n := unsafe.Sizeof(Access{}); n != 12 {
+		t.Errorf("sizeof(Access) = %d, want 12", n)
+	}
+}
+
+// TestGenerateScratchReuse generates A, B and A again, concurrently, so
+// the runs share pooled scratch buffers (run it under -race). The two A
+// runs must agree, and every stream must be copied out at its exact
+// length.
+func TestGenerateScratchReuse(t *testing.T) {
+	srcA := `
+array A[64][64];
+array B[64][64];
+parallel(i) for i = 0 to 63 { for j = 0 to 63 { read A[i][j]; write B[j][i]; } }
+`
+	srcB := `
+array C[128][32];
+parallel(j) for i = 0 to 127 { for j = 0 to 31 { read C[i][j]; } }
+`
+	pA, plansA, ftA := setup(t, srcA, 8)
+	pB, plansB, ftB := setup(t, srcB, 8)
+	runs := []struct {
+		p     *poly.Program
+		plans map[*poly.LoopNest]*parallel.Plan
+		ft    *FileTable
+	}{{pA, plansA, ftA}, {pB, plansB, ftB}, {pA, plansA, ftA}}
+	got := make([][]*NestTrace, len(runs))
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i, r := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = GenerateWorkers(r.p, r.plans, r.ft, 4, 8, 2)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[2]) {
+		t.Error("the two generations of A differ")
+	}
+	for i, traces := range got {
+		for ni, nt := range traces {
+			for th, s := range nt.Streams {
+				if len(s) != cap(s) {
+					t.Errorf("run %d nest %d thread %d: len %d, cap %d", i, ni, th, len(s), cap(s))
+				}
+			}
+		}
+	}
+}
+
+// TestGenerateRangeChecks checks that tables the narrowed Access fields
+// cannot address are rejected with an error, not a panic or a silently
+// truncated block index.
+func TestGenerateRangeChecks(t *testing.T) {
+	// 65536 × 65537 elements, above 2^32 blocks at one element per block;
+	// the one iteration touches only element 0.
+	src := `
+array A[65536][65537];
+for i = 0 to 0 { read A[i][i]; }
+`
+	p, plans, ft := setup(t, src, 1)
+	if _, err := GenerateWorkers(p, plans, ft, 1, 1, 1); err == nil || !strings.Contains(err.Error(), "fit a trace entry") {
+		t.Errorf("a file of 2^32 or more blocks: err = %v, want the block range error", err)
+	}
+	// Two elements per block bring it under the limit.
+	if _, err := GenerateWorkers(p, plans, ft, 2, 1, 1); err != nil {
+		t.Errorf("blockElems 2: %v", err)
+	}
+
+	// More arrays than a uint16 file id can name.
+	p, plans, ft = setup(t, rowSrc, 1)
+	for len(ft.Names) <= math.MaxUint16 {
+		ft.Names = append(ft.Names, fmt.Sprintf("pad%d", len(ft.Names)))
+		ft.Layouts = append(ft.Layouts, ft.Layouts[0])
+	}
+	if _, err := GenerateWorkers(p, plans, ft, 8, 1, 1); err == nil || !strings.Contains(err.Error(), "arrays exceed") {
+		t.Errorf("%d arrays: err = %v, want the file id range error", len(ft.Names), err)
 	}
 }
