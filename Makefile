@@ -2,7 +2,7 @@
 #
 #   make verify        — tier-1 (build + test) plus lint (vet + gofmt),
 #                        the race tier that keeps the parallel harness and
-#                        the fault-injection paths race-clean, the three
+#                        the fault-injection paths race-clean, the four
 #                        smoke drills below, and bench-test
 #   make bench-test    — the benchmark module's own tests (bench/ is a
 #                        separate module, so the root build skips it)
@@ -68,7 +68,7 @@ workload-smoke:
 bench-test:
 	cd bench && $(GO) test .
 
-verify: build lint test race chaos cluster workload-smoke bench-test
+verify: build lint test race serve-smoke chaos cluster workload-smoke bench-test
 
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem .

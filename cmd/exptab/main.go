@@ -37,6 +37,7 @@ import (
 
 	"flopt/internal/exp"
 	"flopt/internal/sim"
+	"flopt/internal/storage/cache"
 	"flopt/internal/version"
 	"flopt/internal/workload"
 )
@@ -110,7 +111,7 @@ func main() {
 	var (
 		expList    = flag.String("exp", "all", "comma-separated experiments: table1,table2,table3,fig7a..fig7h,optstats,ablations,prefetch,faults,all")
 		verbose    = flag.Bool("v", false, "print per-run progress and per-table wall-clock")
-		policy     = flag.String("policy", "lru", "cache policy for the base experiments: lru, demote, karma, mq")
+		policy     = flag.String("policy", "lru", "cache policy for the base experiments: "+strings.Join(cache.Names(), ", "))
 		ioCache    = flag.Int("io-cache", 0, "override I/O cache blocks")
 		stCache    = flag.Int("storage-cache", 0, "override storage cache blocks")
 		blockSize  = flag.Int64("block", 0, "override block size in elements")

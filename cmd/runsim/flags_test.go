@@ -17,12 +17,13 @@ func TestValidateFlags(t *testing.T) {
 		{"workload compmap", func(f *runFlags) { f.scheme = "compmap" }, ""},
 		{"src inter", func(f *runFlags) { f.workload = ""; f.src = "p.fl"; f.scheme = "inter" }, ""},
 		{"seed with faults", func(f *runFlags) { f.seedSet = true; f.faults = 0.5 }, ""},
-		{"policy mq", func(f *runFlags) { f.policy = "mq" }, ""},
+		{"policy karma", func(f *runFlags) { f.policy = "karma" }, ""},
 		{"neither input", func(f *runFlags) { f.workload = "" }, "exactly one of"},
 		{"both inputs", func(f *runFlags) { f.src = "p.fl" }, "exactly one of"},
 		{"zero parallel", func(f *runFlags) { f.parallel = 0 }, "-parallel"},
 		{"orphan seed", func(f *runFlags) { f.seedSet = true }, "-seed has no effect"},
 		{"bad policy", func(f *runFlags) { f.policy = "mru" }, "unknown policy"},
+		{"policy mq", func(f *runFlags) { f.policy = "mq" }, "unknown policy"},
 		{"bad scheme", func(f *runFlags) { f.scheme = "bogus" }, "unknown scheme"},
 		{"src needs runner scheme", func(f *runFlags) { f.workload = ""; f.src = "p.fl"; f.scheme = "compmap" }, "requires -workload"},
 	}

@@ -198,6 +198,13 @@ func randomUnimodular(rng *rand.Rand, n int) *Mat {
 	return m
 }
 
+// addRow adds f times row src to row dst of m.
+func addRow(m *Mat, dst, src int, f int64) {
+	for c := 0; c < m.C; c++ {
+		m.Set(dst, c, m.At(dst, c)+f*m.At(src, c))
+	}
+}
+
 func TestInverseUnimodular(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 50; trial++ {

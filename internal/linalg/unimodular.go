@@ -61,76 +61,3 @@ func CompleteToUnimodular(w Vec, row int) (*Mat, bool) {
 	}
 	return acc, true
 }
-
-// HermiteNormalForm returns H = U·A where U is unimodular and H is in row
-// Hermite normal form: pivot entries positive, entries above each pivot
-// reduced to [0, pivot), zero rows at the bottom. It returns (H, U).
-func HermiteNormalForm(a *Mat) (*Mat, *Mat) {
-	h := a.Clone()
-	u := Identity(a.R)
-	row := 0
-	for col := 0; col < h.C && row < h.R; col++ {
-		// Clear the column below `row` with row operations driven by gcds.
-		for i := row + 1; i < h.R; i++ {
-			if h.At(i, col) == 0 {
-				continue
-			}
-			p, q := h.At(row, col), h.At(i, col)
-			g, x, y := ExtGCD(p, q)
-			// rows (row, i) ← unimodular combination giving (g, 0) in col.
-			pg, qg := p/g, q/g
-			combineRows(h, row, i, x, y, -qg, pg)
-			combineRows(u, row, i, x, y, -qg, pg)
-		}
-		if h.At(row, col) == 0 {
-			continue
-		}
-		if h.At(row, col) < 0 {
-			negateRow(h, row)
-			negateRow(u, row)
-		}
-		// Reduce entries above the pivot into [0, pivot).
-		p := h.At(row, col)
-		for i := 0; i < row; i++ {
-			q := h.At(i, col)
-			f := floorDiv(q, p)
-			if f != 0 {
-				addRow(h, i, row, -f)
-				addRow(u, i, row, -f)
-			}
-		}
-		row++
-	}
-	return h, u
-}
-
-// combineRows applies the 2×2 unimodular transform
-// (rowA, rowB) ← (x·rowA + y·rowB, z·rowA + t·rowB) to matrix m.
-func combineRows(m *Mat, a, b int, x, y, z, t int64) {
-	for c := 0; c < m.C; c++ {
-		ra, rb := m.At(a, c), m.At(b, c)
-		m.Set(a, c, x*ra+y*rb)
-		m.Set(b, c, z*ra+t*rb)
-	}
-}
-
-func negateRow(m *Mat, r int) {
-	for c := 0; c < m.C; c++ {
-		m.Set(r, c, -m.At(r, c))
-	}
-}
-
-func addRow(m *Mat, dst, src int, f int64) {
-	for c := 0; c < m.C; c++ {
-		m.Set(dst, c, m.At(dst, c)+f*m.At(src, c))
-	}
-}
-
-// floorDiv returns ⌊a/b⌋ for b > 0.
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}

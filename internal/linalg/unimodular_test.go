@@ -68,75 +68,6 @@ func TestCompleteToUnimodularQuick(t *testing.T) {
 	}
 }
 
-func TestHermiteNormalForm(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		r, c := 1+rng.Intn(4), 1+rng.Intn(4)
-		a := NewMat(r, c)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				a.Set(i, j, int64(rng.Intn(11)-5))
-			}
-		}
-		h, u := HermiteNormalForm(a)
-		if !u.IsUnimodular() {
-			t.Fatalf("trial %d: U not unimodular (det %d)", trial, u.Det())
-		}
-		if !u.Mul(a).Equal(h) {
-			t.Fatalf("trial %d: U·A ≠ H", trial)
-		}
-		checkHNFShape(t, h)
-	}
-}
-
-// checkHNFShape verifies the echelon structure: pivots strictly move right,
-// pivots are positive, entries above a pivot lie in [0, pivot), zero rows
-// trail.
-func checkHNFShape(t *testing.T, h *Mat) {
-	t.Helper()
-	prevPivot := -1
-	seenZeroRow := false
-	for i := 0; i < h.R; i++ {
-		p := -1
-		for j := 0; j < h.C; j++ {
-			if h.At(i, j) != 0 {
-				p = j
-				break
-			}
-		}
-		if p < 0 {
-			seenZeroRow = true
-			continue
-		}
-		if seenZeroRow {
-			t.Fatalf("nonzero row after zero row in %v", h)
-		}
-		if p <= prevPivot {
-			t.Fatalf("pivot columns not strictly increasing in %v", h)
-		}
-		if h.At(i, p) <= 0 {
-			t.Fatalf("pivot not positive in %v", h)
-		}
-		for k := 0; k < i; k++ {
-			if v := h.At(k, p); v < 0 || v >= h.At(i, p) {
-				t.Fatalf("entry above pivot not reduced in %v", h)
-			}
-		}
-		prevPivot = p
-	}
-}
-
-func TestFloorDiv(t *testing.T) {
-	cases := []struct{ a, b, want int64 }{
-		{7, 2, 3}, {-7, 2, -4}, {6, 3, 2}, {-6, 3, -2}, {0, 5, 0}, {1, 5, 0}, {-1, 5, -1},
-	}
-	for _, c := range cases {
-		if got := floorDiv(c.a, c.b); got != c.want {
-			t.Errorf("floorDiv(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 // The completed matrix must be a bijection of the lattice: for random small
 // integer vectors x, D⁻¹(D·x) = x.
 func TestCompletionIsLatticeBijection(t *testing.T) {

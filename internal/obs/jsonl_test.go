@@ -25,7 +25,7 @@ func TestEventJSONLGolden(t *testing.T) {
 	r.Append(Event{TimeUS: 954_321, Kind: EvRunEnd, Node: -1, Thread: -1, File: -1})
 
 	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
+	if err := WriteEventsJSONL(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 

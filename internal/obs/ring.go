@@ -9,9 +9,8 @@ import (
 // Kind classifies a structured run event.
 type Kind string
 
-// Event kinds emitted by the simulator and the pfs layer. Lifecycle
-// events frame a run; fault.* and cache.* events explain degraded-mode
-// behavior; pfs.* events track the data-bearing file system.
+// Event kinds emitted by the simulator. Lifecycle events frame a run;
+// fault.* and cache.* events explain degraded-mode behavior.
 const (
 	EvRunStart      Kind = "run.start"
 	EvRunEnd        Kind = "run.end"
@@ -20,9 +19,6 @@ const (
 	EvTimeout       Kind = "fault.timeout"
 	EvReconstruct   Kind = "fault.reconstruct"
 	EvEvictionStorm Kind = "cache.eviction-storm"
-	EvNodeDown      Kind = "pfs.node-down"
-	EvNodeUp        Kind = "pfs.node-up"
-	EvDegradedRead  Kind = "pfs.degraded-read"
 )
 
 // Event is one structured run event. TimeUS is the simulator's virtual
@@ -94,15 +90,10 @@ func (r *Ring) Events() []Event {
 	return append(out, r.buf...)
 }
 
-// WriteJSONL writes the retained events oldest-first, one JSON object per
+// WriteEventsJSONL writes the given events as JSONL, one JSON object per
 // line. The encoding is deterministic (fixed field order), so identical
 // runs export byte-identical streams — the property the golden-file test
 // pins down.
-func (r *Ring) WriteJSONL(w io.Writer) error {
-	return WriteEventsJSONL(w, r.Events())
-}
-
-// WriteEventsJSONL writes the given events as JSONL.
 func WriteEventsJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)

@@ -90,22 +90,6 @@ func (p *Plan) ThreadOfBlock(b int) int { return b % p.Threads }
 // value of the parallelized iterator.
 func (p *Plan) ThreadOf(uVal int64) int { return p.ThreadOfBlock(p.BlockOf(uVal)) }
 
-// IterationHyperplane returns the iteration-space hyperplane vector h_I: the
-// unit normal selecting loop U.
-func (p *Plan) IterationHyperplane() linalg.Vec {
-	return poly.UnitNormal(p.Nest.Depth(), p.U)
-}
-
-// BlocksOfThread returns the iteration-block indices owned by thread t, in
-// execution order.
-func (p *Plan) BlocksOfThread(t int) []int {
-	var out []int
-	for b := t; b < p.NumBlocks; b += p.Threads {
-		out = append(out, b)
-	}
-	return out
-}
-
 // Mapping is a thread→compute-node assignment. The paper's Mapping I is the
 // identity; Mappings II–IV are fixed pseudo-random permutations.
 type Mapping struct {

@@ -312,14 +312,6 @@ type Hyperplane struct {
 // Contains reports whether point b lies on the hyperplane.
 func (h Hyperplane) Contains(b linalg.Vec) bool { return h.Normal.Dot(b) == h.C }
 
-// UnitNormal returns the 1×n unit hyperplane vector with 1 at position k —
-// the h_I / h_A form used throughout the paper.
-func UnitNormal(n, k int) linalg.Vec {
-	v := make(linalg.Vec, n)
-	v[k] = 1
-	return v
-}
-
 // DeleteRow returns the (n-1)×n matrix E_u obtained from the n×n identity
 // by deleting row u (paper §4.1): its rows span the solutions of h_I·Δ = 0
 // for h_I the u-th unit normal.

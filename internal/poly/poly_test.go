@@ -210,9 +210,6 @@ func TestHyperplane(t *testing.T) {
 	if !h.Contains(linalg.Vec{3, 3}) || h.Contains(linalg.Vec{3, 4}) {
 		t.Error("Contains wrong")
 	}
-	if got := UnitNormal(4, 2); !got.Equal(linalg.Vec{0, 0, 1, 0}) {
-		t.Errorf("UnitNormal = %v", got)
-	}
 }
 
 func TestDeleteRow(t *testing.T) {
@@ -222,7 +219,7 @@ func TestDeleteRow(t *testing.T) {
 		t.Errorf("DeleteRow = %v, want %v", e, want)
 	}
 	// Every row must satisfy h_I·row = 0 for h_I = e_u.
-	h := UnitNormal(3, 1)
+	h := linalg.Vec{0, 1, 0}
 	for i := 0; i < e.R; i++ {
 		if h.Dot(e.Row(i)) != 0 {
 			t.Errorf("row %d not orthogonal to h_I", i)

@@ -1,8 +1,10 @@
 // Package client is the Go client for floptd's v1 HTTP API. It is the
 // only sanctioned HTTP path to a floptd node — the bundled load
 // generator and the cluster's peer-to-peer calls both go through it —
-// so wire-format knowledge (routes, envelopes, retry headers) lives
-// here and in internal/service/api, nowhere else.
+// so wire-format knowledge (routes, envelopes, Retry-After hints) lives
+// here and in internal/service/api, nowhere else. A request is sent
+// once; a shed (429/503) response comes back as an *APIError carrying
+// the server's hint, and the caller decides whether to try again.
 package client
 
 import (
@@ -87,15 +89,6 @@ type Option func(*Client)
 // transports, test doubles).
 func WithHTTPClient(hc *http.Client) Option { return func(c *Client) { c.hc = hc } }
 
-// WithRetries sets how many times a retryable request (429/503 with no
-// body consumed, or a transport error) is re-sent. 0 disables retries.
-func WithRetries(n int) Option { return func(c *Client) { c.retries = n } }
-
-// WithMaxRetryWait caps how long a single Retry-After hint can hold a
-// retry (defaults to 2 s — peer calls would rather fall back to local
-// compute than sleep out a long hint).
-func WithMaxRetryWait(d time.Duration) Option { return func(c *Client) { c.maxRetryWait = d } }
-
 // WithHeader attaches a static header to every request — cluster peers
 // use it to mark forwarded traffic so the receiving node never
 // re-forwards (loop prevention).
@@ -124,22 +117,18 @@ func ContextWithHeader(ctx context.Context, key, value string) context.Context {
 
 // Client talks to one floptd node.
 type Client struct {
-	base         string
-	hc           *http.Client
-	retries      int
-	maxRetryWait time.Duration
-	headers      map[string]string
+	base    string
+	hc      *http.Client
+	headers map[string]string
 }
 
 // New builds a client for the node at baseURL (scheme://host[:port],
 // no trailing path).
 func New(baseURL string, opts ...Option) *Client {
 	c := &Client{
-		base:         strings.TrimRight(baseURL, "/"),
-		hc:           &http.Client{Timeout: 30 * time.Second},
-		retries:      0,
-		maxRetryWait: 2 * time.Second,
-		headers:      map[string]string{},
+		base:    strings.TrimRight(baseURL, "/"),
+		hc:      &http.Client{Timeout: 30 * time.Second},
+		headers: map[string]string{},
 	}
 	for _, o := range opts {
 		o(c)
@@ -212,50 +201,21 @@ func (c *Client) ClusterStatus(ctx context.Context) (*api.ClusterStatusResponse,
 	return &out, nil
 }
 
-// do runs one logical request: marshal, send, decode — retrying
-// transport errors and 429/503 envelopes up to the configured budget.
-// Retries carry X-Retry-Attempt so the server's retry-budget middleware
-// can account for them, and they honor the server's Retry-After hint up
-// to maxRetryWait.
+// do runs one request: marshal, send, decode.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
+	var rd io.Reader
 	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
+		body, err := json.Marshal(in)
+		if err != nil {
 			return fmt.Errorf("floptd: encode request: %w", err)
 		}
-	}
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		lastErr = c.once(ctx, method, path, body, attempt, out)
-		if lastErr == nil {
-			return nil
-		}
-		if attempt >= c.retries || !retryable(lastErr) {
-			return lastErr
-		}
-		wait := retryWait(lastErr, attempt)
-		if wait > c.maxRetryWait {
-			wait = c.maxRetryWait
-		}
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-func (c *Client) once(ctx context.Context, method, path string, body []byte, attempt int, out any) error {
-	var rd io.Reader
-	if body != nil {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return fmt.Errorf("floptd: build request: %w", err)
 	}
-	if body != nil {
+	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	for k, v := range c.headers {
@@ -265,9 +225,6 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, att
 		for k, v := range m {
 			req.Header.Set(k, v)
 		}
-	}
-	if attempt > 0 {
-		req.Header.Set("X-Retry-Attempt", strconv.Itoa(attempt))
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -311,26 +268,4 @@ func decodeError(resp *http.Response) error {
 		}
 	}
 	return ae
-}
-
-// retryable reports whether err is worth re-sending: transport errors
-// and the two shed-load statuses. 4xx semantic errors never retry.
-func retryable(err error) bool {
-	var ae *APIError
-	if errors.As(err, &ae) {
-		return ae.Status == http.StatusTooManyRequests || ae.Status == http.StatusServiceUnavailable
-	}
-	// Transport-level failure (conn refused, reset, timeout): retryable
-	// unless the context itself is done.
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
-// retryWait derives the pause before the next attempt: the server's
-// Retry-After hint when present, else exponential backoff from 50 ms.
-func retryWait(err error, attempt int) time.Duration {
-	var ae *APIError
-	if errors.As(err, &ae) && ae.RetryAfterS > 0 {
-		return time.Duration(ae.RetryAfterS) * time.Second
-	}
-	return 50 * time.Millisecond << attempt
 }

@@ -66,51 +66,43 @@ func TestNonJSONErrorBody(t *testing.T) {
 	}
 }
 
-func TestRetriesCarryAttemptHeaderAndStopOn4xx(t *testing.T) {
-	var calls int32
-	var attempts []string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		attempts = append(attempts, r.Header.Get("X-Retry-Attempt"))
-		if atomic.AddInt32(&calls, 1) < 3 {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			json.NewEncoder(w).Encode(api.Error{Message: "warming up", Code: api.CodeUnavailable})
-			return
+// TestShedResponseIsSentOnce: the client never retries on its own. A
+// 503 or 429 comes back after one request, as a typed error carrying the
+// server's Retry-After hint, and no request is stamped as a retry.
+func TestShedResponseIsSentOnce(t *testing.T) {
+	for _, tc := range []struct {
+		status int
+		code   string
+		want   error
+	}{
+		{http.StatusServiceUnavailable, api.CodeUnavailable, ErrUnavailable},
+		{http.StatusTooManyRequests, api.CodeOverload, ErrThrottled},
+	} {
+		var calls int32
+		var retryHeaders int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			atomic.AddInt32(&calls, 1)
+			if r.Header.Get("X-Retry-Attempt") != "" {
+				atomic.AddInt32(&retryHeaders, 1)
+			}
+			w.WriteHeader(tc.status)
+			json.NewEncoder(w).Encode(api.Error{Message: "shed", Code: tc.code, RetryAfterS: 2})
+		}))
+		_, err := New(srv.URL).JobStatus(context.Background(), "j")
+		srv.Close()
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("status %d: err = %v, want %v", tc.status, err, tc.want)
 		}
-		json.NewEncoder(w).Encode(api.JobResponse{JobID: "job-9", State: api.JobDone})
-	}))
-	defer srv.Close()
-
-	c := New(srv.URL, WithRetries(3), WithMaxRetryWait(10*time.Millisecond))
-	job, err := c.JobStatus(context.Background(), "job-9")
-	if err != nil {
-		t.Fatalf("JobStatus: %v", err)
-	}
-	if job.JobID != "job-9" || job.State != api.JobDone {
-		t.Fatalf("job = %+v", job)
-	}
-	wantAttempts := []string{"", "1", "2"}
-	if len(attempts) != len(wantAttempts) {
-		t.Fatalf("attempts = %v", attempts)
-	}
-	for i, a := range attempts {
-		if a != wantAttempts[i] {
-			t.Errorf("attempt %d header = %q, want %q", i, a, wantAttempts[i])
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.RetryAfterS != 2 {
+			t.Errorf("status %d: APIError = %+v, want RetryAfterS 2", tc.status, ae)
 		}
-	}
-
-	// A 404 must not be retried even with budget left.
-	atomic.StoreInt32(&calls, 0)
-	srv2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&calls, 1)
-		w.WriteHeader(http.StatusNotFound)
-		json.NewEncoder(w).Encode(api.Error{Message: "no such job", Code: api.CodeNotFound})
-	}))
-	defer srv2.Close()
-	if _, err := New(srv2.URL, WithRetries(5)).JobStatus(context.Background(), "j"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-	if n := atomic.LoadInt32(&calls); n != 1 {
-		t.Fatalf("404 was retried: %d calls", n)
+		if n := atomic.LoadInt32(&calls); n != 1 {
+			t.Errorf("status %d: %d requests sent, want 1", tc.status, n)
+		}
+		if n := atomic.LoadInt32(&retryHeaders); n != 0 {
+			t.Errorf("status %d: %d requests carried X-Retry-Attempt", tc.status, n)
+		}
 	}
 }
 
@@ -172,20 +164,26 @@ func TestStaticHeaderAndRoutes(t *testing.T) {
 	}
 }
 
-func TestContextCancellationStopsRetries(t *testing.T) {
+// TestContextCancellationAbortsRequest: a request to a server that never
+// answers returns once the caller's context expires.
+func TestContextCancellationAbortsRequest(t *testing.T) {
+	release := make(chan struct{})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		json.NewEncoder(w).Encode(api.Error{Message: "down", Code: api.CodeUnavailable, RetryAfterS: 30})
+		select {
+		case <-r.Context().Done():
+		case <-release:
+		}
 	}))
 	defer srv.Close()
+	defer close(release)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := New(srv.URL, WithRetries(10), WithMaxRetryWait(10*time.Second)).JobStatus(ctx, "j")
-	if err == nil {
-		t.Fatal("expected error")
+	_, err := New(srv.URL).JobStatus(ctx, "j")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("retry loop ignored context: ran %v", elapsed)
+		t.Fatalf("request ignored context: ran %v", elapsed)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"flopt/internal/linalg"
 	"flopt/internal/poly"
 	"flopt/internal/service/api"
+	"flopt/internal/storage/cache"
 )
 
 // testProg reads A transposed (optimizable) and B row-friendly; small
@@ -320,13 +321,23 @@ func TestSimulateJobLifecycle(t *testing.T) {
 		api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "bogus"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad policy: status %d", code)
 	}
-	// Every selectable policy is accepted, mq included; report names
-	// such as "KARMA" are not.
-	code, body = postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "mq"}, &sub)
-	if code != http.StatusAccepted {
-		t.Errorf("policy mq: status %d: %s", code, body)
-	} else if job := waitJob(t, ts, sub.JobID); job.State != api.JobDone || job.Report.Policy != "MQ" {
-		t.Errorf("mq job = %+v", job)
+	// Every selectable policy is accepted and reports under its manager's
+	// name; "mq" and report names such as "KARMA" are not selectable.
+	for _, pol := range cache.Names() {
+		m, err := cache.NewByName(pol, 1, 1, 1, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body = postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: comp.LayoutID, Policy: pol}, &sub)
+		if code != http.StatusAccepted {
+			t.Errorf("policy %s: status %d: %s", pol, code, body)
+		} else if job := waitJob(t, ts, sub.JobID); job.State != api.JobDone || job.Report.Policy != m.Name() {
+			t.Errorf("policy %s: job = %+v, want done with report policy %q", pol, job, m.Name())
+		}
+	}
+	if code, _ := postJSON(t, ts.URL+"/v1/simulate",
+		api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "mq"}, nil); code != http.StatusBadRequest {
+		t.Errorf("policy mq: status %d, want 400", code)
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/simulate",
 		api.SimulateRequest{LayoutID: comp.LayoutID, Policy: "KARMA"}, nil); code != http.StatusBadRequest {

@@ -52,7 +52,7 @@ type Config struct {
 
 	// Policy is the cache-hierarchy management scheme, one of
 	// cache.Names(): "lru" (inclusive, the default; "" means "lru"),
-	// "demote", "karma" or "mq". Validate rejects any other name.
+	// "demote" or "karma". Validate rejects any other name.
 	Policy string
 	// ReadaheadBlocks enables storage-node readahead: each demand disk
 	// read also pulls the next N sequential blocks of the file into the

@@ -100,17 +100,20 @@ func TestConfigValidate(t *testing.T) {
 	if c.Validate() == nil {
 		t.Error("mis-sized mapping accepted")
 	}
-	for _, pol := range []string{"", "lru", "demote", "karma", "mq"} {
+	for _, pol := range []string{"", "lru", "demote", "karma"} {
 		c = DefaultConfig()
 		c.Policy = pol
 		if err := c.Validate(); err != nil {
 			t.Errorf("policy %q rejected: %v", pol, err)
 		}
 	}
-	c = DefaultConfig()
-	c.Policy = "KARMA"
-	if err := c.Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("policy KARMA: err = %v, want ErrBadConfig", err)
+	// Report names and "mq" are not selectable.
+	for _, pol := range []string{"KARMA", "mq"} {
+		c = DefaultConfig()
+		c.Policy = pol
+		if err := c.Validate(); !errors.Is(err, ErrBadConfig) {
+			t.Errorf("policy %q: err = %v, want ErrBadConfig", pol, err)
+		}
 	}
 }
 

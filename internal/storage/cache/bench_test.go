@@ -23,15 +23,6 @@ func BenchmarkLRUAccess(b *testing.B) {
 	}
 }
 
-func BenchmarkMQAccess(b *testing.B) {
-	trace := benchTrace(1 << 16)
-	c := NewMQ(1024)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(trace[i%len(trace)])
-	}
-}
-
 func BenchmarkInclusiveLRURead(b *testing.B) {
 	trace := benchTrace(1 << 16)
 	m := NewInclusiveLRU(16, 4, 64, 128)

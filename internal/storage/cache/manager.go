@@ -258,7 +258,6 @@ var (
 	_ NodeStatsReporter = (*InclusiveLRU)(nil)
 	_ NodeStatsReporter = (*DemoteLRU)(nil)
 	_ NodeStatsReporter = (*KARMA)(nil)
-	_ NodeStatsReporter = (*InclusiveMQ)(nil)
 )
 
 // NewByName constructs a policy by its selectable name, exactly one of
@@ -271,12 +270,10 @@ func NewByName(name string, nIO, nStorage, capIO, capStorage int, hints []RangeH
 		return NewDemoteLRU(nIO, nStorage, capIO, capStorage), nil
 	case "karma":
 		return NewKARMA(nIO, nStorage, capIO, capStorage, hints), nil
-	case "mq":
-		return NewInclusiveMQ(nIO, nStorage, capIO, capStorage), nil
 	default:
 		return nil, fmt.Errorf("cache: unknown policy %q", name)
 	}
 }
 
 // Names lists the selectable policy names.
-func Names() []string { return []string{"lru", "demote", "karma", "mq"} }
+func Names() []string { return []string{"lru", "demote", "karma"} }

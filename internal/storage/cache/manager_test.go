@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -218,6 +219,9 @@ func TestKARMAStatsAndReset(t *testing.T) {
 }
 
 func TestNewByName(t *testing.T) {
+	if got := Names(); !slices.Equal(got, []string{"lru", "demote", "karma"}) {
+		t.Errorf("Names() = %v, want [lru demote karma]", got)
+	}
 	for _, name := range Names() {
 		m, err := NewByName(name, 2, 2, 4, 4, karmaHints())
 		if err != nil || m == nil {
@@ -226,7 +230,7 @@ func TestNewByName(t *testing.T) {
 	}
 	// Report names are not selectable names: "KARMA" once built KARMA
 	// without the hints its callers only generate for "karma".
-	for _, name := range []string{"bogus", "LRU", "LRU-inclusive", "DEMOTE-LRU", "KARMA", "MQ"} {
+	for _, name := range []string{"bogus", "mq", "LRU", "LRU-inclusive", "DEMOTE-LRU", "KARMA", "MQ"} {
 		if _, err := NewByName(name, 1, 1, 1, 1, nil); err == nil {
 			t.Errorf("policy %q accepted", name)
 		}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"flopt/internal/layout"
 	"flopt/internal/linalg"
@@ -58,6 +59,10 @@ type refCursor struct {
 	blk     int64 // block at the current k
 	nextK   int64 // first k at which blk changes (or the segment ends)
 }
+
+// errElemsOverflow reports a block touched more often in a row than one
+// trace entry can count.
+var errElemsOverflow = fmt.Errorf("a block is touched more than %d times in a row, more than a trace entry can count", math.MaxInt32)
 
 // blockQuantum is a maximal group of adjacent references that touch the
 // same (file, block) at one iteration; the walker would coalesce the group
@@ -142,7 +147,7 @@ func (g *shardGen) emitSpan(iv linalg.Vec) {
 		}
 		span := kNext - k
 		if m == 1 {
-			stream = push(stream, g.infos[0].file, uint32(g.curs[0].blk), int32(span))
+			stream = g.push(stream, g.infos[0].file, uint32(g.curs[0].blk), span)
 		} else {
 			// Group adjacent references on the same (file, block); blocks
 			// are constant over [k, kNext), so the walker's touch sequence
@@ -159,13 +164,13 @@ func (g *shardGen) emitSpan(iv linalg.Vec) {
 				ri += n
 			}
 			if ng == 1 {
-				stream = push(stream, g.groups[0].file, g.groups[0].blk, int32(span)*g.groups[0].elems)
+				stream = g.push(stream, g.groups[0].file, g.groups[0].blk, span*int64(g.groups[0].elems))
 			} else {
 				stream = g.pushGroups(stream, ng, span)
 			}
 		}
 		k = kNext
-		if k >= count {
+		if k >= count || g.err != nil {
 			break
 		}
 		for ri := range g.curs {
@@ -201,19 +206,19 @@ func (g *shardGen) pushGroups(stream []Access, ng int, span int64) []Access {
 		for ; rep < 2; rep++ {
 			for gi := 0; gi < ng; gi++ {
 				q := g.groups[gi]
-				stream = push(stream, q.file, q.blk, q.elems)
+				stream = g.push(stream, q.file, q.blk, int64(q.elems))
 			}
 		}
 		base1 := len(stream)
 		for gi := 0; gi < ng; gi++ {
 			q := g.groups[gi]
-			stream = push(stream, q.file, q.blk, q.elems)
+			stream = g.push(stream, q.file, q.blk, int64(q.elems))
 		}
 		g.win = append(g.win[:0], stream[base1:]...)
 		base2 := len(stream)
 		for gi := 0; gi < ng; gi++ {
 			q := g.groups[gi]
-			stream = push(stream, q.file, q.blk, q.elems)
+			stream = g.push(stream, q.file, q.blk, int64(q.elems))
 		}
 		rep = 4
 		if w := g.win; len(w) > 0 && len(stream)-base2 == len(w) &&
@@ -224,10 +229,10 @@ func (g *shardGen) pushGroups(stream []Access, ng int, span int64) []Access {
 			return stream
 		}
 	}
-	for ; rep < span; rep++ {
+	for ; rep < span && g.err == nil; rep++ {
 		for gi := 0; gi < ng; gi++ {
 			q := g.groups[gi]
-			stream = push(stream, q.file, q.blk, q.elems)
+			stream = g.push(stream, q.file, q.blk, int64(q.elems))
 		}
 	}
 	return stream
@@ -266,11 +271,18 @@ func nextBlockChange(seg layout.Seg, segBase, blk, b int64) int64 {
 
 // push appends a quantum of e consecutive element touches of (f, b) to
 // the stream s, coalescing it into the last entry when that entry is the
-// same block, so s stays the RLE of the touch sequence pushed so far.
-func push(s []Access, f uint16, b uint32, e int32) []Access {
+// same block, so s stays the RLE of the touch sequence pushed so far. An
+// entry whose touch count would not fit Access.Elems sets g.err, which
+// stops generation and discards the streams.
+func (g *shardGen) push(s []Access, f uint16, b uint32, e int64) []Access {
 	if n := len(s); n > 0 && s[n-1].File == f && s[n-1].Block == b {
-		s[n-1].Elems += e
-		return s
+		e += int64(s[n-1].Elems)
+		s[n-1].Elems = int32(e)
+	} else {
+		s = append(s, Access{Block: b, File: f, Elems: int32(e)})
 	}
-	return append(s, Access{Block: b, File: f, Elems: e})
+	if uint64(e) > math.MaxInt32 {
+		g.err = errElemsOverflow
+	}
+	return s
 }

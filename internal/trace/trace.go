@@ -22,7 +22,8 @@ import (
 // coalesced into it — the simulator charges element-proportional compute
 // cost from it, keeping CPU time independent of the file layout. File
 // and Block are narrowed to the ranges generation checks (at most
-// math.MaxUint16 arrays, fewer than 2^32 blocks per file).
+// math.MaxUint16 arrays, fewer than 2^32 blocks per file), and so is
+// Elems (at most math.MaxInt32 consecutive touches of one block).
 //
 // Run is always 0: every entry stands for exactly one block. It remains
 // only so that readers written against the former run-compressed form,
@@ -262,6 +263,9 @@ func (g *shardGen) run() {
 	}
 	iv := make(linalg.Vec, g.nest.Depth())
 	g.walk(0, iv)
+	if g.err == errElemsOverflow {
+		g.err = fmt.Errorf("trace: nest %d: %w", g.ni, g.err)
+	}
 }
 
 // buf returns thread th's scratch buffer, drawing one from the pool on
@@ -314,7 +318,7 @@ func (g *shardGen) walk(depth int, iv linalg.Vec) {
 	if depth == g.plan.U && g.shards > 1 {
 		// Partition point: only descend into iterations whose thread
 		// block belongs to this shard.
-		for v := lo; v <= hi; v += step {
+		for v := lo; v <= hi && g.err == nil; v += step {
 			if g.plan.ThreadOf(v)%g.shards != g.shard {
 				continue
 			}
@@ -323,7 +327,7 @@ func (g *shardGen) walk(depth int, iv linalg.Vec) {
 		}
 		return
 	}
-	for v := lo; v <= hi; v += step {
+	for v := lo; v <= hi && g.err == nil; v += step {
 		iv[depth] = v
 		g.walk(depth+1, iv)
 	}
@@ -341,7 +345,7 @@ func (g *shardGen) emit(iv linalg.Vec) {
 				g.ni, inf.ref, dst, inf.ref.Array.Dims, iv)
 			return
 		}
-		stream = push(stream, inf.file, uint32(inf.lay.Offset(dst)/g.blockElems), 1)
+		stream = g.push(stream, inf.file, uint32(inf.lay.Offset(dst)/g.blockElems), 1)
 	}
 	*b = stream
 }

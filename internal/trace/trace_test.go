@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -397,5 +398,30 @@ for i = 0 to 0 { read A[i][i]; }
 	}
 	if _, err := GenerateWorkers(p, plans, ft, 8, 1, 1); err == nil || !strings.Contains(err.Error(), "arrays exceed") {
 		t.Errorf("%d arrays: err = %v, want the file id range error", len(ft.Names), err)
+	}
+
+	// More consecutive touches of one block than Access.Elems can count:
+	// in one span, summed over spans, and over a group of references to
+	// the same block. Each is emitted in O(blocks), so none takes long.
+	for _, src := range []string{
+		"parallel(i) for i = 0 to 3 { for j = 0 to 2999999999 { read A[i][0]; } }",
+		"parallel(i) for i = 0 to 3 { for j = 0 to 2 { for k = 0 to 999999999 { read A[i][0]; } } }",
+		"parallel(i) for i = 0 to 3 { for j = 0 to 1999999999 { read A[i][0]; read A[i][1]; } }",
+	} {
+		p, plans, ft = setup(t, "array A[4][4];\n"+src, 4)
+		for _, workers := range []int{1, 4} {
+			if _, err := GenerateWorkers(p, plans, ft, 4, 4, workers); !errors.Is(err, errElemsOverflow) {
+				t.Errorf("%s (workers %d): err = %v, want the element count error", src, workers, err)
+			}
+		}
+	}
+	// Exactly math.MaxInt32 touches still fit one entry.
+	p, plans, ft = setup(t, "array A[4][4];\nparallel(i) for i = 0 to 3 { for j = 0 to 2147483646 { read A[i][0]; } }", 4)
+	traces, err := GenerateWorkers(p, plans, ft, 4, 4, 1)
+	if err != nil {
+		t.Fatalf("math.MaxInt32 touches: %v", err)
+	}
+	if s := traces[0].Streams[1]; len(s) != 1 || s[0].Elems != math.MaxInt32 {
+		t.Errorf("math.MaxInt32 touches: thread 1 stream = %+v", s)
 	}
 }

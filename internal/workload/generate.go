@@ -1,11 +1,9 @@
 package workload
 
 import (
-	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -203,33 +201,12 @@ func (s *Spec) GenerateWorkers(workers int) ([]Event, error) {
 	return out, nil
 }
 
-// EncodeEvents renders an event stream as deterministic JSONL — one
-// canonical line per event. Tests compare expansions byte for byte with
-// it; it is also the -dump format.
-func EncodeEvents(evs []Event) []byte {
-	var b strings.Builder
-	for _, e := range evs {
-		fmt.Fprintf(&b, `{"seq":%d,"t_us":%d,"client":%q,"slo":%q,"kind":%q,"program":%q}`+"\n",
-			e.Seq, e.TimeUS, e.Client, e.SLO, e.Kind, e.Program)
-	}
-	return []byte(b.String())
-}
-
 // ClassCounts tallies events per SLO class — the invariant the smoke
 // script and the replay tests compare across record/replay runs.
 func ClassCounts(evs []Event) map[string]int64 {
 	m := map[string]int64{}
 	for _, e := range evs {
 		m[e.SLO]++
-	}
-	return m
-}
-
-// KindCounts tallies events per request kind.
-func KindCounts(evs []Event) map[string]int64 {
-	m := map[string]int64{}
-	for _, e := range evs {
-		m[e.Kind]++
 	}
 	return m
 }
