@@ -1,9 +1,10 @@
 # Verify tiers for the flopt reproduction.
 #
-#   make verify        — tier-1 (build + test) plus lint (vet + gofmt),
-#                        the race tier that keeps the parallel harness and
-#                        the fault-injection paths race-clean, the four
-#                        smoke drills below, and bench-test
+#   make verify        — tier-1 (build + test) plus lint (vet of the root
+#                        and bench modules + gofmt), the race tier that
+#                        keeps the parallel harness and the
+#                        fault-injection paths race-clean, the four smoke
+#                        drills below, and bench-test
 #   make bench-test    — the benchmark module's own tests (bench/ is a
 #                        separate module, so the root build skips it)
 #   make bench-harness — measure the headline harness benchmarks and emit
@@ -41,6 +42,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 fmt-check:
 	@out=$$($(GOFMT) -l .); \

@@ -252,10 +252,11 @@ func BenchmarkSimulatorThroughputMetrics(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := sim.DefaultConfig()
+	cfg.Metrics = true
 	b.ResetTimer()
 	var accesses int64
 	for i := 0; i < b.N; i++ {
-		rep, err := Run(context.Background(), p, cfg, WithMetrics())
+		rep, err := Run(context.Background(), p, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

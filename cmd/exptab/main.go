@@ -178,6 +178,7 @@ func main() {
 	}
 	cfg.FaultIntensity = *faults
 	cfg.FaultSeed = *seed
+	cfg.Metrics = *metricsOut != ""
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -216,7 +217,6 @@ func main() {
 	runner := exp.NewRunner()
 	runner.Verbose = *verbose
 	runner.Parallel = *parallelN
-	runner.CollectMetrics = *metricsOut != ""
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()

@@ -106,7 +106,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		record   = fs.String("record", "", "serve: write every served compile/offsets/simulate request to this JSONL workload trace")
 		specPath = fs.String("spec", "", "loadgen: expand and run a declarative workload spec (JSON; see examples/specs/)")
 		replay   = fs.String("replay", "", "loadgen: replay a trace recorded with -record")
-		pace     = fs.Float64("pace", 0, "loadgen: replay speed for -spec/-replay on the modeled timeline (1 = real time, 2 = twice as fast); 0 issues back to back")
 		program  = fs.String("program", "", "loadgen: run a steady one-client spec over this named workload program (spec mode, any internal/workloads name)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -137,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		switch modes {
 		case 0:
 		case 1:
-			opt = service.SpecLoadOptions{BaseURL: *target, Pace: *pace}
+			opt = service.SpecLoadOptions{BaseURL: *target}
 			if *program != "" {
 				// A trivial one-client spec under the hood, so any named
 				// workloads program gets the full spec machinery.

@@ -51,7 +51,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	after, err := flopt.Run(context.Background(), p, cfg, flopt.WithResult(res), flopt.WithMetrics())
+	// Metrics on the optimized run put a per-array, per-layer snapshot
+	// on its report.
+	metered := cfg
+	metered.Metrics = true
+	after, err := flopt.Run(context.Background(), p, metered, flopt.WithResult(res))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,8 +66,8 @@ func main() {
 		float64(after.ExecTimeUS)/1e6, 100*after.IOMissRate(), 100*after.StorageMissRate())
 	fmt.Printf("improvement: %.1f%%\n\n", 100*flopt.Improvement(before, after))
 
-	// WithMetrics put a per-array, per-layer snapshot on the report: see
-	// which array the optimization actually moved off the disk.
+	// The snapshot shows which array the optimization actually moved off
+	// the disk.
 	fmt.Println("optimized run, per array (from Report.Metrics):")
 	for _, name := range []string{"A", "B"} {
 		b := after.Metrics.Arrays[name]

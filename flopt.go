@@ -30,9 +30,10 @@
 //	fmt.Printf("%.1f%% faster\n", 100*(1-float64(after.ExecTimeUS)/float64(before.ExecTimeUS)))
 //
 // Run takes functional options: WithResult simulates the optimizer's
-// output, WithLayouts an arbitrary layout per array, WithMetrics attaches
-// the metrics collector (snapshot on Report.Metrics), WithObserver a
-// custom profiling hook, and WithFaults deterministic fault injection.
+// output, WithLayouts an arbitrary layout per array, and WithObserver
+// attaches a custom profiling hook. The platform config carries the
+// rest: cfg.Metrics puts a metrics snapshot on Report.Metrics, and
+// cfg.FaultIntensity with cfg.FaultSeed injects deterministic faults.
 //
 // The cmd/ directory provides the same functionality as executables
 // (floptc, runsim, exptab), and internal/exp regenerates every table and

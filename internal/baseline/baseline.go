@@ -17,6 +17,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -63,12 +64,16 @@ func permutations(n int) [][]int {
 // Reindex runs the [27] baseline on program p under platform cfg: a
 // profile-driven coordinate descent that, array by array, tries every
 // dimension permutation (holding the other arrays at their current best)
-// and keeps the fastest. Returns the chosen layouts.
+// and keeps the fastest. Each profile is a full sim.RunTraces run, so a
+// candidate is timed as the final simulation will time it (KARMA with
+// its hints, readahead bounded by end of file). Returns the chosen
+// layouts.
 func Reindex(p *poly.Program, cfg sim.Config) (map[string]layout.Layout, error) {
 	plans, err := parallel.DefaultPlans(p, cfg.Threads())
 	if err != nil {
 		return nil, err
 	}
+	cfg.Metrics = false // profiling runs report only their time
 	best := layout.DefaultLayouts(p)
 	measure := func(ls map[string]layout.Layout) (int64, error) {
 		ft, err := trace.NewFileTable(p, ls)
@@ -79,7 +84,7 @@ func Reindex(p *poly.Program, cfg sim.Config) (map[string]layout.Layout, error) 
 		if err != nil {
 			return 0, err
 		}
-		rep, err := sim.Simulate(cfg, traces, nil)
+		rep, err := sim.RunTraces(context.Background(), cfg, ft, traces, nil)
 		if err != nil {
 			return 0, err
 		}

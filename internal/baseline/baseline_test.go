@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"flopt/internal/lang"
@@ -9,6 +10,7 @@ import (
 	"flopt/internal/poly"
 	"flopt/internal/sim"
 	"flopt/internal/trace"
+	"flopt/internal/workloads"
 )
 
 func testConfig() sim.Config {
@@ -98,6 +100,55 @@ parallel(i) for i = 0 to 511 { read V[i]; }
 	if best["V"].Name() != "row-major" {
 		t.Error("1-D array should be untouched")
 	}
+}
+
+// TestReindexNeverLosesToDefault: the descent starts from row-major and
+// keeps a candidate only when its profile is faster, so timed the way
+// the final run times it (sim.RunTraces: KARMA with its hints, readahead
+// stopping at end of file) its choice is never slower than row-major.
+// Profiling with hint-less KARMA broke this for s3asim, whose reindexed
+// layout then ran 1.38× the row-major time in Fig. 7(g).
+func TestReindexNeverLosesToDefault(t *testing.T) {
+	wl, ok := workloads.ByName("s3asim")
+	if !ok {
+		t.Fatal("no s3asim workload")
+	}
+	p, err := lang.Parse(wl.Name, wl.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig()
+	cfg.Policy, cfg.ReadaheadBlocks = "karma", 2
+	best, err := Reindex(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reindexed, row := execTime(t, p, cfg, best), execTime(t, p, cfg, layout.DefaultLayouts(p))
+	if reindexed > row {
+		t.Errorf("reindexed layouts run %d µs, row-major %d µs", reindexed, row)
+	}
+}
+
+// execTime simulates p under the given layouts the way exp.Runner does.
+func execTime(t *testing.T, p *poly.Program, cfg sim.Config, ls map[string]layout.Layout) int64 {
+	t.Helper()
+	plans, err := parallel.DefaultPlans(p, cfg.Threads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft, err := trace.NewFileTable(p, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := trace.Generate(p, plans, ft, cfg.BlockElems, cfg.Threads())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sim.RunTraces(context.Background(), cfg, ft, traces, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep.ExecTimeUS
 }
 
 // defaultTraces builds default-layout traces for a source program.

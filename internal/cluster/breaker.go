@@ -36,17 +36,11 @@ type Breaker struct {
 	since    time.Time // when the breaker opened, or when the probe was admitted
 }
 
-// NewBreaker builds a closed breaker; threshold ≤ 0 defaults to 3 and
-// cooldown ≤ 0 to 5 s. onChange, when non-nil, receives the new state at
-// every transition. It runs with the breaker locked, so a gauge it sets
-// sees the transitions in order; it must not call back into the breaker.
+// NewBreaker builds a closed breaker. onChange, when non-nil, receives
+// the new state at every transition. It runs with the breaker locked, so
+// a gauge it sets sees the transitions in order; it must not call back
+// into the breaker.
 func NewBreaker(threshold int, cooldown time.Duration, onChange func(BreakerState)) *Breaker {
-	if threshold <= 0 {
-		threshold = 3
-	}
-	if cooldown <= 0 {
-		cooldown = 5 * time.Second
-	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now, onChange: onChange}
 }
 

@@ -48,7 +48,7 @@ func TestParseRoster(t *testing.T) {
 // every cluster member routes by this table, so a change here is a
 // routing-compatibility break, not a refactor.
 func TestRingGoldenOwnership(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, DefaultVNodes)
+	r := NewRing([]string{"a", "b", "c"})
 	golden := map[string]string{
 		"ly0000000000000000": "c",
 		"ly1111111111111111": "b",
@@ -77,8 +77,8 @@ func TestRingGoldenOwnership(t *testing.T) {
 func TestRingDeterministicAcrossConstruction(t *testing.T) {
 	// Roster order must not matter: every permutation yields the same
 	// ownership function.
-	r1 := NewRing([]string{"a", "b", "c"}, 16)
-	r2 := NewRing([]string{"c", "a", "b"}, 16)
+	r1 := NewRing([]string{"a", "b", "c"})
+	r2 := NewRing([]string{"c", "a", "b"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("ly%016x", i*2654435761)
 		if r1.Owner(key) != r2.Owner(key) {
@@ -88,7 +88,7 @@ func TestRingDeterministicAcrossConstruction(t *testing.T) {
 }
 
 func TestRingSharesBalancedAndSumToOne(t *testing.T) {
-	r := NewRing([]string{"a", "b", "c"}, DefaultVNodes)
+	r := NewRing([]string{"a", "b", "c"})
 	var sum float64
 	for _, id := range r.Nodes() {
 		s := r.Share(id)
@@ -104,7 +104,7 @@ func TestRingSharesBalancedAndSumToOne(t *testing.T) {
 }
 
 func TestRingSingleNodeOwnsEverything(t *testing.T) {
-	r := NewRing([]string{"solo"}, 8)
+	r := NewRing([]string{"solo"})
 	for i := 0; i < 50; i++ {
 		if got := r.Owner(fmt.Sprintf("key%d", i)); got != "solo" {
 			t.Fatalf("Owner = %q, want solo", got)
@@ -113,7 +113,7 @@ func TestRingSingleNodeOwnsEverything(t *testing.T) {
 	if s := r.Share("solo"); math.Abs(s-1) > 1e-9 {
 		t.Errorf("Share(solo) = %v, want 1", s)
 	}
-	if empty := NewRing(nil, 8); empty.Owner("x") != "" {
+	if empty := NewRing(nil); empty.Owner("x") != "" {
 		t.Errorf("empty ring Owner = %q, want \"\"", empty.Owner("x"))
 	}
 }
@@ -121,8 +121,8 @@ func TestRingSingleNodeOwnsEverything(t *testing.T) {
 func TestRingRemovalMovesOnlyVictimKeys(t *testing.T) {
 	// Consistent hashing's contract: dropping a node must not reassign
 	// keys between the survivors.
-	full := NewRing([]string{"a", "b", "c"}, DefaultVNodes)
-	reduced := NewRing([]string{"a", "b"}, DefaultVNodes)
+	full := NewRing([]string{"a", "b", "c"})
+	reduced := NewRing([]string{"a", "b"})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("ly%016x", i*7919)
 		before := full.Owner(key)

@@ -70,15 +70,14 @@ func ParseRoster(spec string) ([]Node, error) {
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring over node IDs. Each node contributes
-// vnodes points hashed from "id#k"; a key is owned by the node whose
-// point is the first at or clockwise after the key's hash. Ownership is
-// a pure function of the sorted roster and vnodes, so all cluster
+// DefaultVNodes points hashed from "id#k"; a key is owned by the node
+// whose point is the first at or clockwise after the key's hash.
+// Ownership is a pure function of the sorted roster, so all cluster
 // members agree without talking to each other, and adding or removing a
 // node moves only the keys adjacent to its points (~1/n of the space).
 type Ring struct {
 	points []ringPoint // sorted by hash
 	ids    []string    // sorted roster
-	vnodes int
 }
 
 type ringPoint struct {
@@ -94,17 +93,14 @@ func hash64(s string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// NewRing builds the ring for the given node IDs. vnodes ≤ 0 selects
-// DefaultVNodes. An empty ID set is allowed (Owner then returns "").
-func NewRing(ids []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultVNodes
-	}
-	r := &Ring{ids: append([]string(nil), ids...), vnodes: vnodes}
+// NewRing builds the ring for the given node IDs. An empty ID set is
+// allowed (Owner then returns "").
+func NewRing(ids []string) *Ring {
+	r := &Ring{ids: append([]string(nil), ids...)}
 	sort.Strings(r.ids)
-	r.points = make([]ringPoint, 0, len(r.ids)*vnodes)
+	r.points = make([]ringPoint, 0, len(r.ids)*DefaultVNodes)
 	for _, id := range r.ids {
-		for k := 0; k < vnodes; k++ {
+		for k := 0; k < DefaultVNodes; k++ {
 			r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", id, k)), node: id})
 		}
 	}

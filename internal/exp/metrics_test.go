@@ -18,10 +18,10 @@ import (
 func TestMetricSnapshotsAcrossWorkerCounts(t *testing.T) {
 	apps := Apps()[:3]
 	cfg := sim.DefaultConfig()
+	cfg.Metrics = true
 	build := func(par int) []byte {
 		r := NewRunner()
 		r.Parallel = par
-		r.CollectMetrics = true
 		tab := &Table{Columns: []string{"exec(s)"}}
 		err := buildRows(context.Background(), r, tab, apps, func(app string) ([]float64, error) {
 			rep, err := r.Run(app, cfg, SchemeDefault)
@@ -59,7 +59,7 @@ func TestMetricSnapshotsAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestRunnerMetricsOffByDefault: without CollectMetrics the runner keeps
+// TestRunnerMetricsOffByDefault: without cfg.Metrics the runner keeps
 // no snapshots and reports carry none.
 func TestRunnerMetricsOffByDefault(t *testing.T) {
 	r := NewRunner()
@@ -68,10 +68,10 @@ func TestRunnerMetricsOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Metrics != nil {
-		t.Error("Report.Metrics set without CollectMetrics")
+		t.Error("Report.Metrics set without cfg.Metrics")
 	}
 	if n := r.MetricCells(); n != 0 {
-		t.Errorf("%d cell snapshots recorded without CollectMetrics", n)
+		t.Errorf("%d cell snapshots recorded without cfg.Metrics", n)
 	}
 	var buf bytes.Buffer
 	if err := r.WriteMetricsJSONL(&buf); err != nil {

@@ -111,12 +111,10 @@ type Runner struct {
 	Parallel int
 	// Verbose enables progress lines on stdout.
 	Verbose bool
-	// CollectMetrics attaches the simulator's metrics collector to every
-	// cell; snapshots are recorded per cell key (see WriteMetricsJSONL).
-	CollectMetrics bool
 
-	// cells holds the per-cell metric snapshots, keyed deterministically
-	// (guarded by mu).
+	// cells holds the metric snapshot of every cell run with cfg.Metrics
+	// set, keyed deterministically (guarded by mu; see
+	// WriteMetricsJSONL).
 	mu    sync.Mutex
 	cells map[string]*obs.Snapshot
 }
@@ -247,9 +245,6 @@ func (r *Runner) RunContext(ctx context.Context, app string, cfg sim.Config, sch
 	}
 	if scheme == SchemeCompMap {
 		cfg.Mapping = pr.mapping
-	}
-	if r.CollectMetrics {
-		cfg.Metrics = true
 	}
 	rep, err := sim.RunTraces(ctx, cfg, pr.ft, pr.traces, nil)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"flopt/internal/cluster"
 )
@@ -23,13 +22,14 @@ import (
 // becomes a 500 and a counter instead of a dead connection.
 
 // newAdmissionBreaker builds the breaker over simulate job outcomes.
-// Threshold consecutive failures open it; while open, /v1/simulate is
-// shed with 503 (offset and compile traffic is never gated — the breaker
-// protects the expensive pipeline, not the cheap one). Its transitions
-// drive the breaker_state gauge and breaker_opens_total.
-func newAdmissionBreaker(threshold int, cooldown time.Duration, met *metrics) *cluster.Breaker {
+// admissionBreakerThreshold consecutive failures open it for
+// breakerCooldown; while open, /v1/simulate is shed with 503 (offset and
+// compile traffic is never gated — the breaker protects the expensive
+// pipeline, not the cheap one). Its transitions drive the breaker_state
+// gauge and breaker_opens_total.
+func newAdmissionBreaker(met *metrics) *cluster.Breaker {
 	met.gauge(mBreakerState, float64(cluster.BreakerClosed))
-	return cluster.NewBreaker(threshold, cooldown, func(st cluster.BreakerState) {
+	return cluster.NewBreaker(admissionBreakerThreshold, breakerCooldown, func(st cluster.BreakerState) {
 		if st == cluster.BreakerOpen {
 			met.inc(mBreakerOpens)
 		}
@@ -39,28 +39,27 @@ func newAdmissionBreaker(threshold int, cooldown time.Duration, met *metrics) *c
 
 // retryBudget is a token bucket that bounds how much service capacity
 // retried requests may consume: every first-attempt request deposits
-// ratio tokens (capped at max), and a request declaring itself a retry
-// (X-Retry-Attempt ≥ 1) withdraws one whole token or is shed with 429.
-// Under healthy traffic the bucket stays full and retries are free;
-// during an outage the deposit stream dries up and retry storms are
-// capped at ratio × the surviving request rate, which is what keeps a
-// recovering daemon from being re-flattened by its own backlog.
+// ratio tokens (capped at retryBudgetTokens), and a request declaring
+// itself a retry (X-Retry-Attempt ≥ 1) withdraws one whole token or is
+// shed with 429. Under healthy traffic the bucket stays full and retries
+// are free; during an outage the deposit stream dries up and retry
+// storms are capped at ratio × the surviving request rate, which is what
+// keeps a recovering daemon from being re-flattened by its own backlog.
 type retryBudget struct {
 	mu     sync.Mutex
 	tokens float64
-	max    float64
 	ratio  float64
 }
 
-func newRetryBudget(max float64) *retryBudget {
-	return &retryBudget{tokens: max, max: max, ratio: 0.1}
+func newRetryBudget() *retryBudget {
+	return &retryBudget{tokens: retryBudgetTokens, ratio: 0.1}
 }
 
 // onFirstAttempt deposits for a non-retry request.
 func (rb *retryBudget) onFirstAttempt() {
 	rb.mu.Lock()
-	if rb.tokens += rb.ratio; rb.tokens > rb.max {
-		rb.tokens = rb.max
+	if rb.tokens += rb.ratio; rb.tokens > retryBudgetTokens {
+		rb.tokens = retryBudgetTokens
 	}
 	rb.mu.Unlock()
 }

@@ -11,23 +11,28 @@ import (
 
 	"flopt/internal/cluster"
 	"flopt/internal/service/api"
+	"flopt/internal/sim"
 )
 
 func TestBreakerStateMachine(t *testing.T) {
 	met := newMetrics()
-	b := newAdmissionBreaker(3, time.Minute, met)
+	b := newAdmissionBreaker(met)
 	now := time.Unix(1000, 0)
 	b.SetClock(func() time.Time { return now })
+	fail := func(n int) {
+		for i := 0; i < n; i++ {
+			b.Record(false)
+		}
+	}
 
 	if !b.Allow() {
 		t.Fatal("closed breaker rejected")
 	}
-	b.Record(false)
-	b.Record(false)
+	fail(admissionBreakerThreshold - 1)
 	if !b.Allow() {
 		t.Fatal("breaker opened below threshold")
 	}
-	b.Record(false) // third consecutive failure: opens
+	b.Record(false) // threshold-th consecutive failure: opens
 	if b.Allow() {
 		t.Fatal("open breaker admitted")
 	}
@@ -39,7 +44,11 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// Cooldown elapses: exactly one probe is admitted.
-	now = now.Add(time.Minute)
+	now = now.Add(breakerCooldown - time.Nanosecond)
+	if b.Allow() {
+		t.Fatal("breaker admitted a probe before the cooldown passed")
+	}
+	now = now.Add(time.Nanosecond)
 	if !b.Allow() {
 		t.Fatal("half-open breaker rejected the probe")
 	}
@@ -55,10 +64,8 @@ func TestBreakerStateMachine(t *testing.T) {
 	}
 
 	// A failed probe re-opens immediately and restarts the cooldown.
-	b.Record(false)
-	b.Record(false)
-	b.Record(false)
-	now = now.Add(time.Minute)
+	fail(admissionBreakerThreshold)
+	now = now.Add(breakerCooldown)
 	if !b.Allow() {
 		t.Fatal("second probe rejected")
 	}
@@ -83,14 +90,14 @@ func TestBreakerProbeWithoutJobDoesNotWedge(t *testing.T) {
 	var clock atomic.Int64 // read on handler goroutines
 	clock.Store(time.Unix(1000, 0).UnixNano())
 	s.breaker.SetClock(func() time.Time { return time.Unix(0, clock.Load()) })
-	advance := func() { clock.Add(int64(s.cfg.BreakerCooldown)) }
+	advance := func() { clock.Add(int64(breakerCooldown)) }
 	simulate := func(layoutID string) (int, api.JobResponse) {
 		var sub api.JobResponse
 		code, _ := postJSON(t, ts.URL+"/v1/simulate", api.SimulateRequest{LayoutID: layoutID}, &sub)
 		return code, sub
 	}
 
-	for i := 0; i < s.cfg.BreakerThreshold; i++ {
+	for i := 0; i < admissionBreakerThreshold; i++ {
 		s.breaker.Record(false)
 	}
 	if code, _ := simulate(comp.LayoutID); code != http.StatusServiceUnavailable {
@@ -126,7 +133,7 @@ func TestBreakerShedsSimulateNotOffsets(t *testing.T) {
 
 	// Trip the breaker the way real traffic would: consecutive job
 	// failures reported through the pool's onResult hook.
-	for i := 0; i < s.cfg.BreakerThreshold; i++ {
+	for i := 0; i < admissionBreakerThreshold; i++ {
 		s.breaker.Record(false)
 	}
 	resp, err := http.Post(ts.URL+"/v1/simulate", "application/json",
@@ -164,7 +171,7 @@ func TestBreakerShedsSimulateNotOffsets(t *testing.T) {
 }
 
 func TestRetryBudgetSheds(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.RetryBudget = 2 })
+	s, ts := newTestServer(t, nil)
 
 	doRetry := func() *http.Response {
 		req, err := http.NewRequest("GET", ts.URL+"/v1/jobs/absent", nil)
@@ -179,9 +186,9 @@ func TestRetryBudgetSheds(t *testing.T) {
 		resp.Body.Close()
 		return resp
 	}
-	// Two tokens: two declared retries pass through (404 from the mux),
-	// the third is shed with 429 before reaching any handler.
-	for i := 0; i < 2; i++ {
+	// A full bucket: retryBudgetTokens declared retries pass through (404
+	// from the mux), the next is shed with 429 before reaching any handler.
+	for i := 0; i < retryBudgetTokens; i++ {
 		if resp := doRetry(); resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("retry %d: status %d, want 404", i, resp.StatusCode)
 		}
@@ -246,7 +253,7 @@ func TestRequestDeadlineAbortsOffsets(t *testing.T) {
 	// Compile out of band: the deadline middleware would expire any HTTP
 	// compile before it could answer, and the test targets the offsets
 	// mid-batch abort specifically.
-	ent, _, err := s.compileCached(context.Background(), testProg, s.cfg.Platform, mCompileBuilds)
+	ent, _, err := s.compileCached(context.Background(), testProg, sim.DefaultConfig(), mCompileBuilds)
 	if err != nil {
 		t.Fatal(err)
 	}

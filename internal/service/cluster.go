@@ -32,8 +32,6 @@ type ClusterConfig struct {
 	Self string
 	// Roster is the full membership, self included.
 	Roster []cluster.Node
-	// VNodes is the ring's virtual-node factor (0 = cluster.DefaultVNodes).
-	VNodes int
 	// GossipInterval is how often peers' load snapshots are refreshed
 	// (0 = 1 s). Load older than 3 intervals is treated as unknown.
 	GossipInterval time.Duration
@@ -41,10 +39,6 @@ type ClusterConfig struct {
 	// discipline that keeps a slow peer from consuming a local request's
 	// entire budget before the local fallback gets its turn.
 	PeerTimeout time.Duration
-	// BreakerThreshold consecutive transport failures open a peer's
-	// circuit breaker for BreakerCooldown (0 = 3 failures, 5 s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 }
 
 func (c *ClusterConfig) validate() error {
@@ -119,10 +113,10 @@ func newClusterNode(cfg ClusterConfig, maxRecs int, met *metrics) (*clusterNode,
 			client: client.New(n.URL,
 				client.WithHTTPClient(&http.Client{Timeout: cfg.PeerTimeout}),
 				client.WithHeader(peerHeader, cfg.Self)),
-			breaker: cluster.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+			breaker: cluster.NewBreaker(peerBreakerThreshold, breakerCooldown, nil),
 		}
 	}
-	cn.ring = cluster.NewRing(ids, cfg.VNodes)
+	cn.ring = cluster.NewRing(ids)
 	for _, id := range ids {
 		met.gauge(mRingShare(id), cn.ring.Share(id))
 	}
@@ -316,7 +310,7 @@ func (s *Server) fillLayout(ctx context.Context, id string) (*compiled, error) {
 		}
 		rec = *fetched
 	}
-	cfg := rec.Config.Apply(s.cfg.Platform)
+	cfg := rec.Config.Apply(sim.DefaultConfig())
 	if err := cfg.Validate(); err != nil {
 		s.met.inc(mClusterFillMismatch)
 		return nil, errf(kindNotFound, "layout %q record invalid under local platform: %v", id, err)

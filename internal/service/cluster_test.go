@@ -14,6 +14,7 @@ import (
 
 	"flopt/internal/cluster"
 	"flopt/internal/service/api"
+	"flopt/internal/sim"
 )
 
 // newTestCluster brings up n in-process cluster members sharing one
@@ -47,10 +48,6 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Se
 			Roster:         roster,
 			GossipInterval: 50 * time.Millisecond,
 			PeerTimeout:    2 * time.Second,
-			// Short cooldown so breakers tripped by startup 503s recover
-			// within the test's patience.
-			BreakerThreshold: 3,
-			BreakerCooldown:  100 * time.Millisecond,
 		}
 		if mutate != nil {
 			mutate(i, &cfg)
@@ -58,6 +55,17 @@ func newTestCluster(t *testing.T, n int, mutate func(i int, cfg *Config)) ([]*Se
 		s, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(node %d): %v", i, err)
+		}
+		// Gossip that reaches a member still starting answers 503 and
+		// trips its breaker. This clock moves one cooldown per read, so
+		// a tripped breaker admits its next call as a probe instead of
+		// shedding the peer for the 5 s cooldown.
+		var tick atomic.Int64
+		base := time.Now()
+		for _, p := range s.clu.peers {
+			p.breaker.SetClock(func() time.Time {
+				return base.Add(time.Duration(tick.Add(int64(breakerCooldown))))
+			})
 		}
 		servers[i] = s
 		boxes[i].Store(s.Handler())
@@ -244,7 +252,7 @@ func TestClusterFillVerifiesContentAddress(t *testing.T) {
 	servers[1].clu.rememberRecord(api.LayoutRecord{
 		ID:     fake,
 		Source: testProg,
-		Config: api.FromConfig(servers[1].cfg.Platform),
+		Config: api.FromConfig(sim.DefaultConfig()),
 	})
 	req := api.OffsetsRequest{Array: "A", Queries: []api.OffsetQuery{{Start: []int64{0, 0}}}}
 	status, body := postJSON(t, https[1].URL+"/v1/layouts/"+fake+"/offsets", req, nil)
@@ -275,7 +283,7 @@ func TestClusterDeadPeerFallsBackLocal(t *testing.T) {
 	// Find a variant of testProg owned by the dead node: trailing
 	// newlines change the content hash without changing the program.
 	ring := servers[0].clu.ring
-	cfg := servers[0].cfg.Platform
+	cfg := sim.DefaultConfig()
 	source := ""
 	for i := 0; i < 64; i++ {
 		cand := testProg + strings.Repeat("\n", i)
@@ -451,7 +459,7 @@ func TestOffsetsResponseCarriesLayoutID(t *testing.T) {
 // record, and its inputs reproduce the ID (the property peer fills
 // stand on).
 func TestLayoutRecordEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, nil)
+	_, ts := newTestServer(t, nil)
 	id := compileTestProg(t, ts).LayoutID
 	var rec api.LayoutRecord
 	code, body := getJSON(t, ts.URL+"/v1/layouts/"+id, &rec)
@@ -461,7 +469,7 @@ func TestLayoutRecordEndpoint(t *testing.T) {
 	if rec.ID != id || rec.Source == "" {
 		t.Fatalf("record = %+v", rec)
 	}
-	if got := layoutID(rec.Source, rec.Config.Apply(s.cfg.Platform)); got != id {
+	if got := layoutID(rec.Source, rec.Config.Apply(sim.DefaultConfig())); got != id {
 		t.Errorf("record recompiles to %q, want %q", got, id)
 	}
 	if code, _ := getJSON(t, ts.URL+"/v1/layouts/nope", nil); code != http.StatusNotFound {

@@ -45,22 +45,6 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds the pending-job queue; a full queue answers 429.
 	QueueDepth int
-	// RetainedJobs bounds the finished-job records kept for polling.
-	RetainedJobs int
-	// CompileWait is how long a compile request waits for an in-flight
-	// build before answering 503 (the build itself continues).
-	CompileWait time.Duration
-	// SimTimeout is the per-job simulation deadline.
-	SimTimeout time.Duration
-	// WalkBudget caps the per-request element count offset queries may
-	// resolve through the per-element fallback (the Strider closed form
-	// is exempt: it is O(segments) regardless of count).
-	WalkBudget int64
-	// MaxBodyBytes caps request bodies.
-	MaxBodyBytes int64
-	// Platform is the base platform compiled against; per-request config
-	// overrides apply on top of it.
-	Platform sim.Config
 	// DataDir roots the durability journals (layout snapshot + WAL, job
 	// ledger). Empty disables persistence: state is memory-only, as it
 	// was before the journals existed.
@@ -74,15 +58,6 @@ type Config struct {
 	// RequestTimeout is the per-request deadline plumbed into every
 	// handler's context; 0 disables it.
 	RequestTimeout time.Duration
-	// BreakerThreshold is the consecutive simulate-job failure count
-	// that opens the circuit breaker; BreakerCooldown is how long it
-	// stays open before admitting a half-open probe.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// RetryBudget is the retry token-bucket capacity: requests declaring
-	// X-Retry-Attempt ≥ 1 each consume a token, refilled at a fraction
-	// of first-attempt traffic.
-	RetryBudget float64
 	// ChaosIntensity > 0 enables the seeded fault-injection middleware
 	// (delays, errors, drops, journal disk faults) at that intensity in
 	// (0, 1]; ChaosSeed fixes its decision stream.
@@ -98,21 +73,41 @@ type Config struct {
 // DefaultServerConfig returns the sizing floptd starts with.
 func DefaultServerConfig() Config {
 	return Config{
-		CacheEntries:     128,
-		Workers:          2,
-		QueueDepth:       64,
-		RetainedJobs:     1024,
-		CompileWait:      30 * time.Second,
-		SimTimeout:       120 * time.Second,
-		WalkBudget:       1 << 20,
-		MaxBodyBytes:     1 << 20,
-		Platform:         sim.DefaultConfig(),
-		RequestTimeout:   30 * time.Second,
-		BreakerThreshold: 5,
-		BreakerCooldown:  5 * time.Second,
-		RetryBudget:      64,
+		CacheEntries:   128,
+		Workers:        2,
+		QueueDepth:     64,
+		RequestTimeout: 30 * time.Second,
 	}
 }
+
+// Fixed limits of every daemon. The base platform compiled against is
+// sim.DefaultConfig(); per-request config overrides apply on top of it.
+const (
+	// retainedJobs bounds the finished-job records kept for polling.
+	retainedJobs = 1024
+	// compileWait is how long a compile request waits for an in-flight
+	// build before answering 503 (the build itself continues).
+	compileWait = 30 * time.Second
+	// simTimeout is the per-job simulation deadline.
+	simTimeout = 120 * time.Second
+	// walkBudget caps the per-request element count offset queries may
+	// resolve through the per-element fallback (the Strider closed form
+	// is exempt: it is O(segments) regardless of count).
+	walkBudget = 1 << 20
+	// maxBodyBytes caps request bodies.
+	maxBodyBytes = 1 << 20
+	// admissionBreakerThreshold consecutive simulate-job failures open
+	// the admission breaker, peerBreakerThreshold consecutive transport
+	// failures a peer's; either stays open for breakerCooldown before
+	// admitting a half-open probe.
+	admissionBreakerThreshold = 5
+	peerBreakerThreshold      = 3
+	breakerCooldown           = 5 * time.Second
+	// retryBudgetTokens is the retry token-bucket capacity: requests
+	// declaring X-Retry-Attempt ≥ 1 each consume a token, refilled at a
+	// fraction of first-attempt traffic.
+	retryBudgetTokens = 64
+)
 
 // Server is the service instance: compile cache, job pool, durability
 // journals, admission control, metrics, and the HTTP surface over them.
@@ -143,8 +138,8 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	s := &Server{cfg: cfg, met: newMetrics(), start: time.Now()}
 	s.chaos = newChaos(cfg.ChaosSeed, cfg.ChaosIntensity, s.met)
-	s.breaker = newAdmissionBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, s.met)
-	s.retry = newRetryBudget(cfg.RetryBudget)
+	s.breaker = newAdmissionBreaker(s.met)
+	s.retry = newRetryBudget()
 	s.cache = memo.New[string, *compiled](cfg.CacheEntries, nil, func(*compiled) { s.met.inc(mCompileEvictions) })
 	if cfg.RecordPath != "" {
 		rec, err := workload.NewTraceWriter(cfg.RecordPath)
@@ -186,9 +181,9 @@ func New(cfg Config) (*Server, error) {
 	s.jobs = newJobPool(jobPoolConfig{
 		workers:    cfg.Workers,
 		queueDepth: cfg.QueueDepth,
-		maxJobs:    cfg.RetainedJobs,
+		maxJobs:    retainedJobs,
 		idPrefix:   idPrefix,
-		timeout:    cfg.SimTimeout,
+		timeout:    simTimeout,
 		met:        s.met,
 		run:        s.runJob,
 		journal:    s.journalJob,
@@ -276,7 +271,7 @@ func (s *Server) recoverState() error {
 	s.persist.setReplaying(true)
 	recovered := 0
 	for _, rec := range recs {
-		cfg := rec.Config.Apply(s.cfg.Platform)
+		cfg := rec.Config.Apply(sim.DefaultConfig())
 		if err := cfg.Validate(); err != nil {
 			s.met.inc(mRecoverySkipped)
 			continue
@@ -406,7 +401,7 @@ func (s *Server) failEnvelope(w http.ResponseWriter, status, retryAfter int, msg
 
 // decode parses the JSON body into v under the body-size cap.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
@@ -440,7 +435,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "set exactly one of source and workload")
 		return
 	}
-	cfg := req.Config.Apply(s.cfg.Platform)
+	cfg := req.Config.Apply(sim.DefaultConfig())
 	if err := cfg.Validate(); err != nil {
 		s.met.inc(mCompileErrors)
 		s.fail(w, http.StatusBadRequest, "invalid config: %v", err)
@@ -456,7 +451,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CompileWait)
+	ctx, cancel := context.WithTimeout(r.Context(), compileWait)
 	defer cancel()
 	ent, cached, err := s.compileCached(ctx, source, cfg, mCompileBuilds)
 	switch {
@@ -581,7 +576,7 @@ func (s *Server) handleOffsets(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := api.OffsetsResponse{LayoutID: id, Array: req.Array, FileElems: l.SizeElems(),
 		Results: make([]api.OffsetResult, len(req.Queries)), Filled: filled}
-	budget := s.cfg.WalkBudget
+	budget := int64(walkBudget)
 	var queries, segs, strided, walked int64
 	for i, q := range req.Queries {
 		// The per-request deadline aborts oversized batches between
@@ -687,7 +682,7 @@ func (s *Server) runJob(ctx context.Context, j *job) (*api.SimReport, error) {
 		opts = append(opts, flopt.WithResult(j.ent.Result))
 	}
 	if j.req.Faults > 0 {
-		opts = append(opts, flopt.WithFaults(j.req.Faults, j.req.Seed))
+		cfg.FaultIntensity, cfg.FaultSeed = j.req.Faults, j.req.Seed
 	}
 	rep, err := flopt.Run(ctx, j.ent.Program, cfg, opts...)
 	if err != nil {

@@ -211,7 +211,7 @@ func TestOffsetsBatchMatchesPointQueries(t *testing.T) {
 }
 
 func TestOffsetsErrors(t *testing.T) {
-	s, ts := newTestServer(t, func(c *Config) { c.WalkBudget = 16 })
+	s, ts := newTestServer(t, nil)
 	comp := compileTestProg(t, ts)
 	url := ts.URL + "/v1/layouts/" + comp.LayoutID + "/offsets"
 

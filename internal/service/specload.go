@@ -22,15 +22,11 @@ import (
 type SpecLoadOptions struct {
 	// BaseURL is one node URL, or a comma-separated list (cluster mode).
 	BaseURL string
-	// Events come from a spec expansion or a recorded trace. The hammer
-	// issues one offsets event, {Kind: offsets, Program: name}, repeated
-	// for Duration.
+	// Events come from a spec expansion or a recorded trace, and are
+	// issued back to back: their modeled TimeUS is not waited out, which
+	// keeps the request sequence exact. The hammer issues one offsets
+	// event, {Kind: offsets, Program: name}, repeated for Duration.
 	Events []workload.Event
-	// Pace replays events on their modeled timeline scaled by this
-	// factor (1 = real time, 2 = twice as fast). 0 issues back to back —
-	// the mode the determinism tests and the smoke script use, since it
-	// keeps the request sequence exact without waiting out the clock.
-	Pace float64
 	// Concurrency is the number of closed-loop workers. At 1 (or 0) one
 	// worker issues the events strictly in sequence order, event Seq to
 	// target Seq mod the target count: the order a -record trace
@@ -198,16 +194,6 @@ func RunSpecLoad(ctx context.Context, opt SpecLoadOptions) (*SpecLoadResult, err
 			}
 			ev := opt.Events[i%n]
 			seq := ev.Seq + i/n*n
-			if opt.Pace > 0 {
-				due := start.Add(time.Duration(float64(ev.TimeUS)/opt.Pace) * time.Microsecond)
-				if d := time.Until(due); d > 0 {
-					select {
-					case <-time.After(d):
-					case <-ctx.Done():
-						return
-					}
-				}
-			}
 			tgt := targets[w%len(targets)]
 			if workers == 1 {
 				tgt = targets[seq%int64(len(targets))]

@@ -60,8 +60,6 @@ type Config struct {
 	// the optimized layouts "can also help improve the effectiveness of
 	// hardware I/O prefetching"; see exp.Prefetch.
 	ReadaheadBlocks int
-	// HintRangesPerFile controls KARMA hint granularity.
-	HintRangesPerFile int
 
 	// Mapping assigns threads to compute nodes (Fig. 7(b)); nil means the
 	// identity mapping.
@@ -79,17 +77,6 @@ type Config struct {
 	// one from (FaultSeed, FaultIntensity).
 	FaultSchedule *fault.Schedule
 
-	// MaxRetries bounds the retry attempts after a transient disk read
-	// error (0 means the DefaultMaxRetries policy; negative is invalid).
-	MaxRetries int
-	// RetryBackoffUS is the base of the capped exponential backoff
-	// between retries (0 means DefaultRetryBackoffUS).
-	RetryBackoffUS int64
-	// RequestTimeoutUS is the per-request deadline; when it expires the
-	// read is served degraded from the replica stripe (0 means
-	// DefaultRequestTimeoutUS).
-	RequestTimeoutUS int64
-
 	// Metrics attaches a machine-owned obs.Metrics collector to every run:
 	// per-layer hit breakdowns keyed by array and thread, device service
 	// histograms, and the structured event stream, snapshotted onto
@@ -98,11 +85,12 @@ type Config struct {
 	Metrics bool
 }
 
-// Default degraded-mode retry policy, applied where the corresponding
-// Config field is zero: up to 4 retries, 500 µs base backoff (doubling,
-// capped at 8× the base), 50 ms request deadline — a deadline a few times
-// the positioned service time of the default disk, so a healthy queue
-// never trips it.
+// Degraded-mode retry policy of every faulted run: after a transient disk
+// read error, up to 4 retries with a 500 µs base backoff (doubling,
+// capped at 8× the base), under a 50 ms request deadline — a few times the
+// positioned service time of the default disk, so a healthy queue never
+// trips it. A request whose deadline expires is served degraded from the
+// replica stripe.
 const (
 	DefaultMaxRetries       = 4
 	DefaultRetryBackoffUS   = int64(500)
@@ -140,12 +128,11 @@ func DefaultConfig() Config {
 		// on the order of a millisecond; these hop costs set the cache-hit
 		// service time and keep the disk-miss penalty ratio in the range a
 		// PVFS deployment actually sees (~an order of magnitude).
-		NetCIUS:           800,
-		NetISUS:           800,
-		CacheSvcUS:        100,
-		CPUPerElemNS:      400,
-		Policy:            "lru",
-		HintRangesPerFile: 64,
+		NetCIUS:      800,
+		NetISUS:      800,
+		CacheSvcUS:   100,
+		CPUPerElemNS: 400,
+		Policy:       "lru",
 	}
 }
 
@@ -183,13 +170,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.FaultSchedule.Validate(c.StorageNodes); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("%w: negative retry limit %d", ErrBadConfig, c.MaxRetries)
-	}
-	if c.RetryBackoffUS < 0 || c.RequestTimeoutUS < 0 {
-		return fmt.Errorf("%w: negative retry backoff (%d µs) or request timeout (%d µs)",
-			ErrBadConfig, c.RetryBackoffUS, c.RequestTimeoutUS)
 	}
 	if c.Mapping != nil {
 		if c.Mapping.Len() != c.Threads() {

@@ -83,10 +83,6 @@ type Machine struct {
 	// Run, so a single seeded source replays identically regardless of
 	// how many runs execute concurrently on other Machines.
 	rng *rand.Rand
-	// Effective degraded-mode retry policy (ns), resolved from cfg with
-	// the package defaults filling zero fields.
-	maxRetries           int
-	backoffNS, timeoutNS int64
 	// Degraded-mode counters (see Report).
 	retries, timeouts, degradedReads, failedOver int64
 
@@ -156,18 +152,6 @@ func NewMachine(cfg Config, hints []cache.RangeHint) (*Machine, error) {
 		}
 		m.faults = plan
 		m.rng = rand.New(rand.NewSource(cfg.FaultSeed))
-		m.maxRetries = cfg.MaxRetries
-		if m.maxRetries == 0 {
-			m.maxRetries = DefaultMaxRetries
-		}
-		m.backoffNS = 1000 * cfg.RetryBackoffUS
-		if m.backoffNS == 0 {
-			m.backoffNS = 1000 * DefaultRetryBackoffUS
-		}
-		m.timeoutNS = 1000 * cfg.RequestTimeoutUS
-		if m.timeoutNS == 0 {
-			m.timeoutNS = 1000 * DefaultRequestTimeoutUS
-		}
 	}
 	if cfg.Metrics {
 		m.metrics = obs.NewMetrics()
@@ -304,14 +288,4 @@ func RunTraces(ctx context.Context, cfg Config, ft *trace.FileTable, traces []*t
 		m.SetObserver(o)
 	}
 	return m.RunContext(ctx, traces)
-}
-
-// Simulate is the one-shot convenience wrapper: build a machine, run the
-// traces cold, return the report.
-func Simulate(cfg Config, traces []*trace.NestTrace, hints []cache.RangeHint) (*Report, error) {
-	m, err := NewMachine(cfg, hints)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(traces)
 }

@@ -109,11 +109,11 @@ parallel(i) for i = 0 to 63 { for j = 0 to 63 { read B[j][i]; } }
 						t.Fatalf("optimized=%v %s: hints differ between emitter and walker traces", optimized, v.name)
 					}
 				}
-				r1, err := Simulate(cfg, spans, hints)
+				r1, err := simulate(cfg, spans, hints)
 				if err != nil {
 					t.Fatalf("%s/%s emitter: %v", policy, v.name, err)
 				}
-				r2, err := Simulate(cfg, walks, hintsWalk)
+				r2, err := simulate(cfg, walks, hintsWalk)
 				if err != nil {
 					t.Fatalf("%s/%s walker: %v", policy, v.name, err)
 				}
@@ -129,11 +129,11 @@ parallel(i) for i = 0 to 63 { for j = 0 to 63 { read B[j][i]; } }
 func TestFaultReplayBitIdentical(t *testing.T) {
 	cfg := faultConfig(0.8, 12345)
 	_, traces := buildTraces(t, colScan, cfg, false)
-	r1, err := Simulate(cfg, traces, nil)
+	r1, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Simulate(cfg, traces, nil)
+	r2, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFaultReplayBitIdentical(t *testing.T) {
 	}
 	// A different seed must (at this intensity) produce a different run —
 	// otherwise the seed is not actually threaded through.
-	r3, err := Simulate(faultConfig(0.8, 54321), traces, nil)
+	r3, err := simulate(faultConfig(0.8, 54321), traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,11 +175,11 @@ func TestFaultResetReplays(t *testing.T) {
 func TestFaultsSlowTheRun(t *testing.T) {
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	healthy, err := Simulate(cfg, traces, nil)
+	healthy, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := Simulate(faultConfig(1, 99), traces, nil)
+	degraded, err := simulate(faultConfig(1, 99), traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestFailoverOnNodeOutage(t *testing.T) {
 		},
 	}
 	_, traces := buildTraces(t, colScan, cfg, false)
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,12 +218,11 @@ func TestFailoverOnNodeOutage(t *testing.T) {
 func TestTransientErrorsRetryAndDegrade(t *testing.T) {
 	cfg := smallConfig()
 	// Retry-heavy regime: every attempt fails, so every disk-path read
-	// burns its retry budget and is served degraded. The run must still
-	// terminate, with latency charged, not spin.
+	// burns its DefaultMaxRetries retries and is served degraded. The run
+	// must still terminate, with latency charged, not spin.
 	cfg.FaultSchedule = &fault.Schedule{TransientErrorRate: 0.999}
-	cfg.MaxRetries = 2
 	_, traces := buildTraces(t, colScan, cfg, false)
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +234,7 @@ func TestTransientErrorsRetryAndDegrade(t *testing.T) {
 		t.Errorf("every timeout must be served degraded: timeouts=%d degraded=%d",
 			rep.Timeouts, rep.DegradedReads)
 	}
-	healthy, err := Simulate(smallConfig(), traces, nil)
+	healthy, err := simulate(smallConfig(), traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +253,11 @@ func TestFailSlowWindowCharged(t *testing.T) {
 		}},
 	}
 	_, traces := buildTraces(t, colScan, cfg, false)
-	slow, err := Simulate(cfg, traces, nil)
+	slow, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := Simulate(smallConfig(), traces, nil)
+	healthy, err := simulate(smallConfig(), traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +284,7 @@ func TestNoPanicUnderAnySchedule(t *testing.T) {
 				cfg := base
 				cfg.FaultIntensity = intensity
 				cfg.FaultSeed = seed
-				rep, err := Simulate(cfg, traces, nil)
+				rep, err := simulate(cfg, traces, nil)
 				if err != nil {
 					t.Fatalf("nodes=%d seed=%d intensity=%v: %v", nodes, seed, intensity, err)
 				}
@@ -308,11 +307,11 @@ func TestFaultPoliciesAndReadahead(t *testing.T) {
 	for _, pol := range []string{"lru", "demote", "karma"} {
 		c := cfg
 		c.Policy = pol
-		r1, err := Simulate(c, traces, GenerateHints(c, ft, traces))
+		r1, err := simulate(c, traces, GenerateHints(c, ft, traces))
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
-		r2, err := Simulate(c, traces, GenerateHints(c, ft, traces))
+		r2, err := simulate(c, traces, GenerateHints(c, ft, traces))
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -327,13 +326,13 @@ func TestHealthyPathUnchangedByFaultFields(t *testing.T) {
 	// healthy platform: the fault machinery must not even be armed.
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	healthy, err := Simulate(cfg, traces, nil)
+	healthy, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeded := cfg
 	seeded.FaultSeed = 42
-	r, err := Simulate(seeded, traces, nil)
+	r, err := simulate(seeded, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +352,6 @@ func TestConfigValidateFaultFields(t *testing.T) {
 	}{
 		{"intensity > 1", func(c *Config) { c.FaultIntensity = 1.5 }},
 		{"negative intensity", func(c *Config) { c.FaultIntensity = -0.1 }},
-		{"negative retries", func(c *Config) { c.MaxRetries = -1 }},
-		{"negative backoff", func(c *Config) { c.RetryBackoffUS = -5 }},
-		{"negative timeout", func(c *Config) { c.RequestTimeoutUS = -5 }},
 		{"oversized schedule", func(c *Config) {
 			c.FaultSchedule = &fault.Schedule{Nodes: make([]fault.NodeOutage, 99)}
 		}},
@@ -379,7 +375,7 @@ func TestConfigValidateFaultFields(t *testing.T) {
 func TestFaultStreamMismatchStillErrors(t *testing.T) {
 	cfg := faultConfig(0.5, 1)
 	nt := &trace.NestTrace{Streams: make([][]trace.Access, 3)}
-	if _, err := Simulate(cfg, []*trace.NestTrace{nt}, nil); err == nil {
+	if _, err := simulate(cfg, []*trace.NestTrace{nt}, nil); err == nil {
 		t.Error("stream/thread mismatch accepted under faults")
 	}
 }

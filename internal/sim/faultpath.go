@@ -69,15 +69,16 @@ func (m *Machine) serveFaulty(now int64, t int, file int32, block int64, elems i
 func (m *Machine) diskReadFaulty(arrive int64, st int, file int32, block int64) int64 {
 	local := m.striper.LocalIndex(block)
 	rate := m.faults.TransientErrorRate
-	deadline := arrive + m.timeoutNS
+	const backoffNS = 1000 * DefaultRetryBackoffUS
+	deadline := arrive + 1000*DefaultRequestTimeoutUS
 	at := arrive
-	backoff := m.backoffNS
+	backoff := backoffNS
 	for attempt := 0; ; attempt++ {
 		done, _ := m.disks[st].ReadScaled(at, file, local, m.faults.SlowFactorAt(st, at))
 		if rate <= 0 || m.rng.Float64() >= rate {
 			return done - arrive
 		}
-		if attempt >= m.maxRetries || done+backoff > deadline {
+		if attempt >= DefaultMaxRetries || done+backoff > deadline {
 			m.timeouts++
 			if m.obsOn {
 				m.obs.Event(obs.Event{TimeUS: done / 1000, Kind: obs.EvTimeout,
@@ -91,7 +92,7 @@ func (m *Machine) diskReadFaulty(arrive int64, st int, file int32, block int64) 
 			m.obs.RetryWait(st, backoff)
 		}
 		at = done + backoff
-		if backoff < 8*m.backoffNS {
+		if backoff < 8*backoffNS {
 			backoff *= 2
 		}
 	}

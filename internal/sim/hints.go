@@ -5,25 +5,25 @@ import (
 	"flopt/internal/trace"
 )
 
+// hintRangesPerFile is the KARMA hint granularity: the number of equal
+// block ranges each file is cut into.
+const hintRangesPerFile = 64
+
 // GenerateHints derives KARMA range hints from the compiler's knowledge of
-// the access streams: each file is cut into cfg.HintRangesPerFile equal
+// the access streams: each file is cut into hintRangesPerFile equal
 // block ranges and the expected per-I/O-cache access frequency of every
 // range is counted exactly. This plays the role of KARMA's application
 // hints; the paper notes that the optimized layout "enables KARMA to
 // generate more accurate hints" — here that manifests as per-range
 // frequencies concentrated on few I/O nodes instead of smeared across all.
 func GenerateHints(cfg Config, ft *trace.FileTable, traces []*trace.NestTrace) []cache.RangeHint {
-	ranges := cfg.HintRangesPerFile
-	if ranges < 1 {
-		ranges = 1
-	}
 	// Per file: block count and range width.
 	nFiles := len(ft.Names)
 	width := make([]int64, nFiles)
 	blocks := make([]int64, nFiles)
 	for f := 0; f < nFiles; f++ {
 		blocks[f] = ft.Blocks(int32(f), cfg.BlockElems)
-		w := (blocks[f] + int64(ranges) - 1) / int64(ranges)
+		w := (blocks[f] + hintRangesPerFile - 1) / hintRangesPerFile
 		if w < 1 {
 			w = 1
 		}

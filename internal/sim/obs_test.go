@@ -93,7 +93,7 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 func TestMetricsOffByDefault(t *testing.T) {
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,13 +107,13 @@ func TestMetricsOffByDefault(t *testing.T) {
 func TestMetricsDoNotPerturbTiming(t *testing.T) {
 	base := smallConfig()
 	_, traces := buildTraces(t, colScan, base, false)
-	plain, err := Simulate(base, traces, nil)
+	plain, err := simulate(base, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := base
 	cfg.Metrics = true
-	observed, err := Simulate(cfg, traces, nil)
+	observed, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,16 @@ func smallConfig() Config {
 	return c
 }
 
+// simulate builds a machine with the given hints and runs the traces
+// cold.
+func simulate(cfg Config, traces []*trace.NestTrace, hints []cache.RangeHint) (*Report, error) {
+	m, err := NewMachine(cfg, hints)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(traces)
+}
+
 func buildTraces(t *testing.T, src string, cfg Config, optimized bool) (*trace.FileTable, []*trace.NestTrace) {
 	t.Helper()
 	p, plans, layouts := buildProgram(t, src, cfg, optimized)
@@ -167,11 +177,11 @@ func TestLayoutHierarchy(t *testing.T) {
 func TestSimulateDeterministic(t *testing.T) {
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	r1, err := Simulate(cfg, traces, nil)
+	r1, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Simulate(cfg, traces, nil)
+	r2, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +197,11 @@ func TestOptimizedLayoutBeatsDefault(t *testing.T) {
 	cfg := smallConfig()
 	_, defTraces := buildTraces(t, colScan, cfg, false)
 	_, optTraces := buildTraces(t, colScan, cfg, true)
-	defRep, err := Simulate(cfg, defTraces, nil)
+	defRep, err := simulate(cfg, defTraces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	optRep, err := Simulate(cfg, optTraces, nil)
+	optRep, err := simulate(cfg, optTraces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,13 +230,13 @@ parallel(i) for i = 0 to 63 { for j = 0 to 63 { read A[i][j]; } }
 	if len(traces) != 2 {
 		t.Fatalf("nest traces = %d", len(traces))
 	}
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second pass should hit caches warmed by the first; total
 	// execution must still exceed the single-nest time.
-	single, err := Simulate(cfg, traces[:1], nil)
+	single, err := simulate(cfg, traces[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +254,7 @@ func TestPolicies(t *testing.T) {
 	for _, pol := range []string{"lru", "demote", "karma"} {
 		c := cfg
 		c.Policy = pol
-		rep, err := Simulate(c, traces, GenerateHints(c, ft, traces))
+		rep, err := simulate(c, traces, GenerateHints(c, ft, traces))
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -281,7 +291,7 @@ func TestMachineResetAndWarmth(t *testing.T) {
 func TestReportMetrics(t *testing.T) {
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,18 +318,18 @@ func TestReportMetrics(t *testing.T) {
 func TestStreamCountMismatch(t *testing.T) {
 	cfg := smallConfig()
 	nt := &trace.NestTrace{Streams: make([][]trace.Access, 3)}
-	if _, err := Simulate(cfg, []*trace.NestTrace{nt}, nil); err == nil {
+	if _, err := simulate(cfg, []*trace.NestTrace{nt}, nil); err == nil {
 		t.Error("stream/thread mismatch accepted")
 	}
 }
 
 func TestGenerateHints(t *testing.T) {
 	cfg := smallConfig()
-	cfg.HintRangesPerFile = 4
 	ft, traces := buildTraces(t, colScan, cfg, false)
 	hints := GenerateHints(cfg, ft, traces)
-	if len(hints) == 0 {
-		t.Fatal("no hints")
+	// One file of 512 blocks cuts into hintRangesPerFile ranges of 8.
+	if len(hints) != hintRangesPerFile {
+		t.Fatalf("%d hints, want %d", len(hints), hintRangesPerFile)
 	}
 	var total float64
 	covered := int64(0)
@@ -377,7 +387,7 @@ func TestReadaheadArmsOnStreams(t *testing.T) {
 func TestReadaheadOffByDefault(t *testing.T) {
 	cfg := smallConfig()
 	_, traces := buildTraces(t, colScan, cfg, false)
-	rep, err := Simulate(cfg, traces, nil)
+	rep, err := simulate(cfg, traces, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,18 +51,14 @@ const (
 	HistRetryWait      = obs.HistRetryWait
 )
 
-// RunOption configures a Run call; see WithLayouts, WithResult,
-// WithObserver, WithFaults and WithMetrics.
+// RunOption configures a Run call; see WithLayouts, WithResult and
+// WithObserver.
 type RunOption func(*runOptions)
 
 type runOptions struct {
-	layouts   map[string]Layout
-	res       *Result
-	observer  Observer
-	faults    bool
-	intensity float64
-	seed      int64
-	metrics   bool
+	layouts  map[string]Layout
+	res      *Result
+	observer Observer
 }
 
 // WithLayouts simulates under an arbitrary layout per array (keyed by
@@ -86,26 +82,14 @@ func WithObserver(o Observer) RunOption {
 	return func(opts *runOptions) { opts.observer = o }
 }
 
-// WithFaults enables deterministic fault injection at the given intensity
-// in [0, 1], seeded so identical seeds replay bit-identical runs. It
-// overrides cfg.FaultIntensity and cfg.FaultSeed.
-func WithFaults(intensity float64, seed int64) RunOption {
-	return func(o *runOptions) { o.faults = true; o.intensity = intensity; o.seed = seed }
-}
-
-// WithMetrics attaches the machine-owned metrics collector and delivers
-// its snapshot on Report.Metrics, equivalent to setting cfg.Metrics.
-func WithMetrics() RunOption {
-	return func(o *runOptions) { o.metrics = true }
-}
-
 // Run simulates program p on the platform described by cfg and returns
 // the execution report. By default it is the paper's "default execution":
 // row-major layouts, fresh parallelization plans, no fault injection, no
 // metrics. Options select the optimized layouts (WithResult), arbitrary
-// layouts (WithLayouts), profiling (WithObserver, WithMetrics) and fault
-// injection (WithFaults). For cfg.Policy == "karma" the KARMA hints are
-// generated automatically from the traces.
+// layouts (WithLayouts) and a profiling hook (WithObserver); cfg.Metrics
+// puts a metrics snapshot on Report.Metrics, and cfg.FaultIntensity with
+// cfg.FaultSeed injects deterministic faults. For cfg.Policy == "karma"
+// the KARMA hints are generated automatically from the traces.
 //
 // ctx cancels a run in flight: the simulator polls it periodically and
 // aborts with an error wrapping ctx.Err(). Configuration errors wrap
@@ -114,12 +98,6 @@ func Run(ctx context.Context, p *Program, cfg Config, opts ...RunOption) (*Repor
 	var o runOptions
 	for _, opt := range opts {
 		opt(&o)
-	}
-	if o.faults {
-		cfg.FaultIntensity, cfg.FaultSeed = o.intensity, o.seed
-	}
-	if o.metrics {
-		cfg.Metrics = true
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -28,8 +28,10 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := Run(context.Background(), p, cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("Run config error %v does not wrap ErrBadConfig", err)
 	}
-	// WithFaults feeds the intensity through config validation too.
-	if _, err := Run(context.Background(), p, smallTestConfig(), WithFaults(1.5, 1)); !errors.Is(err, ErrBadConfig) {
+	// The fault intensity goes through config validation too.
+	cfg = smallTestConfig()
+	cfg.FaultIntensity, cfg.FaultSeed = 1.5, 1
+	if _, err := Run(context.Background(), p, cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("out-of-range fault intensity error %v does not wrap ErrBadConfig", err)
 	}
 }
@@ -39,12 +41,14 @@ func TestRunWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(context.Background(), p, smallTestConfig(), WithMetrics())
+	cfg := smallTestConfig()
+	cfg.Metrics = true
+	rep, err := Run(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Metrics == nil {
-		t.Fatal("WithMetrics did not populate Report.Metrics")
+		t.Fatal("cfg.Metrics did not populate Report.Metrics")
 	}
 	if rep.Metrics.Totals.Accesses != rep.Accesses {
 		t.Errorf("metrics cover %d accesses, report %d", rep.Metrics.Totals.Accesses, rep.Accesses)
@@ -58,7 +62,7 @@ func TestRunWithMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain.Metrics != nil {
-		t.Error("Report.Metrics set without WithMetrics")
+		t.Error("Report.Metrics set without cfg.Metrics")
 	}
 }
 
@@ -112,11 +116,12 @@ func TestRunWithFaultsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := smallTestConfig()
-	a, err := Run(context.Background(), p, cfg, WithFaults(0.5, 7))
+	cfg.FaultIntensity, cfg.FaultSeed = 0.5, 7
+	a, err := Run(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(context.Background(), p, cfg, WithFaults(0.5, 7))
+	b, err := Run(context.Background(), p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,6 +130,6 @@ func TestRunWithFaultsDeterministic(t *testing.T) {
 			a.ExecTimeUS, a.Retries, a.Timeouts, b.ExecTimeUS, b.Retries, b.Timeouts)
 	}
 	if a.Retries == 0 && a.Timeouts == 0 && a.FailedOverBlocks == 0 && a.DegradedReads == 0 {
-		t.Error("WithFaults(0.5, 7) injected no observable faults")
+		t.Error("fault intensity 0.5, seed 7 injected no observable faults")
 	}
 }
